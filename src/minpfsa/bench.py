@@ -20,9 +20,9 @@ import numpy as np
 from .cliques import clique_pipeline
 from .cssr import cssr
 from .errors import FormatError
-from .exact import solve_msdpfsa, succ_table
+from .exact import solve_msdpfsa
 from .machine import PFSA, sample
-from .sequences import Alphabet, count_windows
+from .sequences import Alphabet, count_windows, succ_table
 from .stat_tests import TestConfig, compatibility_graph
 
 METHODS = ("cssr", "ip", "clique")

@@ -20,9 +20,9 @@ from .bench import BenchConfig, parse_bench_config, run_bench, write_csv
 from .cliques import clique_pipeline
 from .cssr import cssr
 from .errors import MinpfsaError
-from .exact import build_ip_model, solve_msdpfsa, succ_table, to_lp_text
+from .exact import build_ip_model, solve_msdpfsa, to_lp_text
 from .machine import build_machine, to_dot, to_json
-from .sequences import count_windows, gen_fixture, parse_sequence
+from .sequences import count_windows, gen_fixture, parse_sequence, succ_table
 from .stat_tests import TESTS, TestConfig, compatibility_graph
 
 
@@ -43,13 +43,28 @@ def _write(path, text):
             fh.write(text)
 
 
+def _alpha(text):
+    try:
+        return TestConfig(alpha=float(text)).alpha
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+
+
+def _history_length(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("L must be non-negative, not %s" % text)
+    return value
+
+
 def _add_input_args(sub):
     sub.add_argument("--in", dest="infile", required=True, metavar="FILE",
                      help="sequence file, or - for stdin")
     sub.add_argument("--tokens", action="store_true",
                      help="split the input on whitespace instead of reading characters")
-    sub.add_argument("--L", type=int, default=2, help="history length (default 2)")
-    sub.add_argument("--alpha", type=float, default=0.05,
+    sub.add_argument("--L", type=_history_length, default=2,
+                     help="history length (default 2)")
+    sub.add_argument("--alpha", type=_alpha, default=0.05,
                      help="significance level (default 0.05)")
     sub.add_argument("--test", choices=TESTS, default="freeman-tukey",
                      help="two-sample test (default freeman-tukey)")
@@ -64,6 +79,7 @@ def cmd_infer(args):
     seq = _read_sequence(args.infile, args.tokens)
     cfg = TestConfig(test=args.test, alpha=args.alpha)
     wc = count_windows(seq, args.L)
+    graph = None
     if args.method == "cssr":
         machine = cssr(wc, cfg)
     elif args.method == "ip":
@@ -71,11 +87,13 @@ def cmd_infer(args):
         result = solve_msdpfsa(graph, succ_table(wc, graph.vertices))
         machine = build_machine(wc, result.partition)
     else:
-        machine = clique_pipeline(wc, cfg).machine
+        result = clique_pipeline(wc, cfg)
+        machine, graph = result.machine, result.graph
     render = to_dot if args.format == "dot" else to_json
     _write(args.out, render(machine))
     if args.lp:
-        graph = compatibility_graph(wc, cfg)
+        if graph is None:
+            graph = compatibility_graph(wc, cfg)
         model = build_ip_model(graph, succ_table(wc, graph.vertices))
         _write(args.lp, to_lp_text(model))
     return 0

@@ -2,27 +2,21 @@
 cover-based inference pipeline.
 
 The pipeline mirrors the reduction of the non-deterministic minimum-state
-problem to clique partitioning: cluster with the splitting heuristic to
-get an upper bound, enumerate the maximal cliques of the compatibility
-graph, cover the histories with the fewest cliques, enumerate every
-partition of the histories into that many cliques, make each one
-deterministic by successor-signature splitting, and keep the machine with
-the fewest final states.
+problem to clique partitioning: enumerate the maximal cliques of the
+compatibility graph, cover the histories with the fewest cliques,
+enumerate every partition of the histories into that many cliques, make
+each one deterministic by successor-signature splitting, and build the
+machine of the partition with the fewest final states.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cssr import cssr as _cssr
 from .errors import CoverOverflowError
+from .exact import _adjacency
 from .machine import build_machine, partition_from_blocks, split_to_deterministic
 from .stat_tests import TestConfig, compatibility_graph
-
-
-def _adjacency(graph):
-    mu = getattr(graph, "mu", graph)
-    return np.asarray(mu, dtype=bool)
 
 
 def bron_kerbosch(graph):
@@ -68,9 +62,10 @@ def min_clique_cover(cliques, n_vertices, k_upper=None):
     """Exact minimum number of maximal cliques covering all vertices.
 
     Branch and bound over the uncovered vertices, seeded with a greedy
-    cover as the incumbent. k_upper (a heuristic state count) is recorded
-    for reporting and cross-checks; it does not constrain the search, so a
-    wrong bound cannot make the result wrong.
+    cover as the incumbent. k_upper (a heuristic state count the caller
+    may pass, such as a cssr machine's) is only recorded on the result;
+    it does not constrain the search, so a wrong bound cannot make the
+    result wrong. clique_pipeline passes none.
     """
     cliques = [tuple(sorted(c)) for c in cliques]
     all_covered = set()
@@ -185,28 +180,27 @@ class PipelineResult:
 
 def clique_pipeline(wc, config=None, cap=10000):
     """Infer a machine by minimum clique cover plus deterministic
-    reconstruction, trying every exact cover and keeping the machine with
-    the fewest states (first in enumeration order on ties)."""
+    reconstruction, trying every exact cover and keeping the partition with
+    the fewest states (first in enumeration order on ties). Only that
+    partition's machine is built, since a machine has one state per block.
+    The cover's k_upper is None: the pipeline runs no heuristic."""
     cfg = config or TestConfig()
-    k_upper = _cssr(wc, cfg).num_states
     graph = compatibility_graph(wc, cfg)
     W = list(graph.vertices)
     cliques = bron_kerbosch(graph)
-    cover = min_clique_cover(cliques, len(W), k_upper)
+    cover = min_clique_cover(cliques, len(W))
     covers = enumerate_exact_covers(graph, cover.optimum, cap)
 
-    best_machine = None
     best_partition = None
     counts = []
     for exact_cover in covers:
         part = reconstruct_deterministic(exact_cover, W, wc)
-        m = build_machine(wc, part)
-        counts.append(m.num_states)
-        if best_machine is None or m.num_states < best_machine.num_states:
-            best_machine, best_partition = m, part
+        counts.append(part.num_states)
+        if best_partition is None or part.num_states < best_partition.num_states:
+            best_partition = part
 
     return PipelineResult(
-        best_machine,
+        build_machine(wc, best_partition),
         best_partition,
         graph,
         tuple(cliques),

@@ -6,8 +6,9 @@ history, taken in order of first appearance in the sequence, is compared
 against the pooled next-symbol distribution of every state formed so far
 at this length and joins the best-matching state when the test accepts,
 otherwise it opens a new state. Pooled distributions are recomputed as
-members join. Lengths below L only matter as a progress trace; the
-partition of the length-L histories is the splitting result.
+members join. Lengths below L only matter as a progress trace, so they
+are clustered only when the trace is asked for; the partition of the
+length-L histories is the splitting result.
 
 The reconstruction pass then splits states whose members disagree on
 which state their shift-append successors land in, repeating until the
@@ -49,12 +50,9 @@ def cssr_split(wc, config=None, return_trace=False):
     clusterings as a list of (level, blocks) pairs.
     """
     cfg = config or TestConfig()
-    trace = []
-    states = []
-    for level in range(wc.L + 1):
-        states = _cluster_level(wc, level, cfg)
-        trace.append((level, [tuple(s) for s in states]))
-    part = partition_from_blocks(histories(wc), [tuple(s) for s in states])
+    levels = range(wc.L + 1) if return_trace else [wc.L]
+    trace = [(level, [tuple(s) for s in _cluster_level(wc, level, cfg)]) for level in levels]
+    part = partition_from_blocks(histories(wc), trace[-1][1])
     if return_trace:
         return part, trace
     return part

@@ -27,35 +27,14 @@ import numpy as np
 
 from .errors import TooLargeForOracleError
 from .machine import StatePartition
-from .sequences import successor
+# kept importable here: perfbench/routes.py imports succ_table from this module
+from .sequences import succ_table  # noqa: F401
 
 
 def _adjacency(graph):
     """Accept a CompatibilityGraph or a raw boolean matrix."""
     mu = getattr(graph, "mu", graph)
     return np.asarray(mu, dtype=bool)
-
-
-def succ_table(wc, W=None):
-    """succ[i][a] = index in W of the shift-append successor of W[i] under
-    symbol a, or None when that continuation was never observed or its
-    successor has no state of its own (end-of-sequence corner)."""
-    if W is None:
-        from .sequences import histories
-
-        W = histories(wc)
-    W = [tuple(h) for h in W]
-    index = {h: i for i, h in enumerate(W)}
-    table = []
-    for h in W:
-        row = []
-        for a in range(len(wc.alphabet)):
-            if wc.count(h + (a,)) > 0:
-                row.append(index.get(successor(h, a)))
-            else:
-                row.append(None)
-        table.append(tuple(row))
-    return tuple(table)
 
 
 def greedy_independent_set(mu):

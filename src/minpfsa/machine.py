@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DeadEndError, FormatError
-from .sequences import Alphabet, SymbolSequence, state_dist, successor
+from .sequences import Alphabet, SymbolSequence, state_dist, succ_table, successor
 
 # ---------------------------------------------------------------------------
 # partitions
@@ -93,29 +93,19 @@ def split_to_deterministic(partition, wc):
     left open.
     """
     part = partition.canonical()
+    succ = succ_table(wc, part.W)
     while True:
-        blocks = part.blocks()
-        n_sym = len(wc.alphabet)
-        new_blocks = []
-        for block in blocks:
-            groups = []
-            for h in block:
-                sig = {}
-                for a in range(n_sym):
-                    if wc.count(tuple(h) + (a,)) > 0:
-                        succ = successor(h, a)
-                        if succ in part.W:
-                            sig[a] = part.state_of(succ)
-                placed = False
-                for g in groups:
-                    if all(g["sig"].get(a, v) == v for a, v in sig.items()):
-                        g["sig"].update(sig)
-                        g["members"].append(h)
-                        placed = True
-                        break
-                if not placed:
-                    groups.append({"sig": dict(sig), "members": [h]})
-            new_blocks.extend(tuple(g["members"]) for g in groups)
+        groups = [[] for _ in range(part.num_states)]
+        for i, s in enumerate(part.assign):
+            sig = {a: part.assign[l] for a, l in enumerate(succ[i]) if l is not None}
+            for g in groups[s]:
+                if all(g["sig"].get(a, v) == v for a, v in sig.items()):
+                    g["sig"].update(sig)
+                    g["members"].append(part.W[i])
+                    break
+            else:
+                groups[s].append({"sig": sig, "members": [part.W[i]]})
+        new_blocks = [tuple(g["members"]) for block in groups for g in block]
         new_part = partition_from_blocks(part.W, new_blocks)
         if new_part.num_states == part.num_states:
             return new_part

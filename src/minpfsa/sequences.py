@@ -182,6 +182,24 @@ def successor(history, symbol):
     return h[1:] + (int(symbol),)
 
 
+def succ_table(wc, W):
+    """succ[i][a] = index in W of the shift-append successor of W[i] under
+    symbol a, or None when that continuation was never observed or its
+    successor has no state of its own (end-of-sequence corner)."""
+    W = [tuple(h) for h in W]
+    index = {h: i for i, h in enumerate(W)}
+    table = []
+    for h in W:
+        row = []
+        for a in range(len(wc.alphabet)):
+            if wc.count(h + (a,)) > 0:
+                row.append(index.get(successor(h, a)))
+            else:
+                row.append(None)
+        table.append(tuple(row))
+    return tuple(table)
+
+
 @dataclass(frozen=True)
 class ConditionalDistribution:
     """Next-symbol distribution of a history or pooled set of histories.

@@ -28,7 +28,7 @@ from scipy.special import gammaln
 from scipy.stats import chi2 as _chi2
 
 from .errors import DegenerateSampleError
-from .sequences import cond_dist, histories
+from .sequences import histories
 
 TESTS = ("freeman-tukey", "chi2", "ks")
 
@@ -68,32 +68,33 @@ def _identical_proportions(a, b):
     return np.allclose(a / a.sum(), b / b.sum(), rtol=0.0, atol=1e-12)
 
 
-def chi2_pvalue(counts_a, counts_b):
-    """Pearson chi-squared two-sample homogeneity test, no continuity
-    correction. Returns the upper-tail p-value."""
+def _chi2_family_pvalue(counts_a, counts_b, terms):
+    """Upper-tail chi-squared p-value of the statistic summing
+    terms(observed, expected) over the cells of the 2 x k table."""
     a, b = _clean_table(counts_a, counts_b)
     if len(a) < 2 or _identical_proportions(a, b):
         return 1.0
     table = np.array([a, b])
     expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / table.sum()
-    terms = (table - expected) ** 2 / expected
+    cells = terms(table, expected)
     # pair the two rows per column before summing so swapping the samples
     # gives a bitwise-identical statistic
-    stat = (terms[0] + terms[1]).sum()
+    stat = (cells[0] + cells[1]).sum()
     return float(_chi2.sf(stat, len(a) - 1))
+
+
+def chi2_pvalue(counts_a, counts_b):
+    """Pearson chi-squared two-sample homogeneity test, no continuity
+    correction. Returns the upper-tail p-value."""
+    return _chi2_family_pvalue(counts_a, counts_b, lambda o, e: (o - e) ** 2 / e)
 
 
 def ft_pvalue(counts_a, counts_b):
     """Freeman-Tukey two-sample homogeneity test on the same table and
     degrees of freedom as ``chi2_pvalue``."""
-    a, b = _clean_table(counts_a, counts_b)
-    if len(a) < 2 or _identical_proportions(a, b):
-        return 1.0
-    table = np.array([a, b])
-    expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / table.sum()
-    terms = 4.0 * (np.sqrt(table) - np.sqrt(expected)) ** 2
-    stat = (terms[0] + terms[1]).sum()
-    return float(_chi2.sf(stat, len(a) - 1))
+    return _chi2_family_pvalue(
+        counts_a, counts_b, lambda o, e: 4.0 * (np.sqrt(o) - np.sqrt(e)) ** 2
+    )
 
 
 # hypergeometric states of the KS recursion with probability below this
@@ -199,9 +200,6 @@ class CompatibilityGraph:
     mu: np.ndarray
     config: TestConfig
 
-    def index(self, history):
-        return self.vertices.index(tuple(history))
-
     def edges(self):
         """Off-diagonal compatible pairs (i, l) with i < l."""
         n = len(self.vertices)
@@ -223,17 +221,3 @@ def compatibility_graph(wc, config=None):
     np.fill_diagonal(mu, True)
     return CompatibilityGraph(verts, pvals, mu, cfg)
 
-
-def pairwise_pvalues(wc, config=None):
-    """Mapping (history_i, history_l) -> p-value for all ordered pairs.
-
-    Convenience view of the compatibility graph for reporting.
-    """
-    g = compatibility_graph(wc, config)
-    out = {}
-    n = len(g.vertices)
-    for i in range(n):
-        for l in range(n):
-            if i != l:
-                out[(g.vertices[i], g.vertices[l])] = float(g.pvalues[i, l])
-    return out

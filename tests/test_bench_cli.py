@@ -2,6 +2,8 @@
 
 import io
 import json
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,6 +13,9 @@ from minpfsa import (
     BenchConfig,
     CSV_HEADER,
     FormatError,
+    build_machine,
+    compatibility_graph,
+    cssr_split,
     gen_fixture,
     parse_bench_config,
     random_machine,
@@ -205,6 +210,27 @@ def test_cli_infer_methods_agree_on_fixture(fixture_file, capsys):
     assert counts == {"cssr": 4, "ip": 3, "clique": 3}
 
 
+@pytest.mark.parametrize("method", ["ip", "clique"])
+def test_cli_infer_lp_runs_each_step_once(method, fixture_file, tmp_path, monkeypatch):
+    calls = Counter()
+    counted = {f.__name__: f for f in (compatibility_graph, cssr_split, build_machine)}
+    for name, module in list(sys.modules.items()):
+        if not name.startswith("minpfsa."):
+            continue
+        for fname, fn in counted.items():
+            if getattr(module, fname, None) is fn:
+                def wrapper(*args, _fname=fname, _fn=fn, **kwargs):
+                    calls[_fname] += 1
+                    return _fn(*args, **kwargs)
+                monkeypatch.setattr(module, fname, wrapper)
+    code = main([
+        "infer", "--in", fixture_file, "--method", method,
+        "--out", str(tmp_path / "machine.json"), "--lp", str(tmp_path / "model.lp"),
+    ])
+    assert code == 0
+    assert calls == {"compatibility_graph": 1, "build_machine": 1}
+
+
 def test_cli_graph(fixture_file, capsys):
     assert main(["graph", "--in", fixture_file]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -242,3 +268,9 @@ def test_cli_usage_errors_exit_two():
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])
     assert err.value.code == 2
+    for bad in (["--alpha", "0"], ["--alpha", "1"], ["--alpha", "1.5"],
+                ["--alpha", "nan"], ["--alpha", "x"], ["--L", "-1"]):
+        for command in ("infer", "graph"):
+            with pytest.raises(SystemExit) as err:
+                main([command, "--in", "unused.txt"] + bad)
+            assert err.value.code == 2

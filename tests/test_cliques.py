@@ -195,7 +195,7 @@ def test_pipeline_fixture(fixture_wc):
     result = clique_pipeline(fixture_wc)
     assert result.machine.num_states == 3
     assert result.cover.optimum == 3
-    assert result.cover.k_upper == 4
+    assert result.cover.k_upper is None
     assert result.final_counts == (3, 4)
     assert len(result.covers) == 2
     blocks = sorted(

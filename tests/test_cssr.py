@@ -14,6 +14,7 @@ from minpfsa import (
     cssr_split,
     from_text,
     from_tokens,
+    histories,
 )
 from tests.conftest import make_instances
 
@@ -32,6 +33,15 @@ def test_split_trace_levels(fixture_wc):
     assert [level for level, _ in trace] == [0, 1, 2]
     level0 = trace[0][1]
     assert level0 == [((),)]
+
+
+def test_split_without_trace_matches_trace_last_level():
+    for wc, _, _ in make_instances(40, seed=31):
+        part, trace = cssr_split(wc, return_trace=True)
+        assert cssr_split(wc) == part
+        assert [level for level, _ in trace] == list(range(wc.L + 1))
+        assert part.W == tuple(histories(wc))
+        assert part.blocks() == trace[-1][1]
 
 
 def test_reconstruct_splits_inconsistent_state(fixture_wc):

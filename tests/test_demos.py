@@ -1,0 +1,34 @@
+"""The narrative demos run to completion against the current package.
+
+Demo 04 is left out because it runs the benchmark grid.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize(
+    "demo",
+    [
+        "01_walkthrough.py",
+        "02_method_comparison.py",
+        "03_clique_machinery.py",
+        "05_sampling_roundtrip.py",
+    ],
+)
+def test_demo_runs(demo):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / demo)],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
