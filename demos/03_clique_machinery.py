@@ -55,7 +55,7 @@ for i, exact_cover in enumerate(covers):
 model = build_ip_model(graph, succ_table(wc, graph.vertices))
 counts = model.variable_counts()
 print("\ninteger program: %d x, %d y, %d p variables, %d constraints" % (
-    counts["x"], counts["y"], counts["p"], len(model.constraints())))
+    counts["x"], counts["y"], counts["p"], sum(1 for _ in model.constraints())))
 print("exhaustive solve of the program: %d states" % solve_ip_model(model))
 
 lp = to_lp_text(model)

@@ -140,7 +140,10 @@ def _timed_run(cfg_point, timeout):
     proc.start()
     child.close()
     if parent.poll(timeout):
-        result = parent.recv()
+        try:
+            result = parent.recv()
+        except EOFError:  # the child died without replying
+            result = ("error", "child exited without a result")
         proc.join()
     else:
         proc.terminate()

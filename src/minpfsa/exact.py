@@ -14,14 +14,16 @@ independent set of the compatibility graph, since pairwise-incompatible
 histories can never share a state. Among minimum-state assignments the
 lexicographically least one is returned.
 
-``build_ip_model`` materializes the same problem as an explicit 0/1
-integer program (exportable as LP text) and ``solve_ip_model`` solves that
-model by exhaustive search over its own constraints, as an independence
-check on the branch-and-bound.
+``build_ip_model`` states the same problem as an explicit 0/1 integer
+program. Its ``constraints`` generate the rows lazily, with the variable
+names of the LP file, and both consumers read that one stream:
+``to_lp_text`` formats each row, and ``solve_ip_model`` solves the model by
+exhaustive search over the same rows, as an independence check on the
+branch-and-bound.
 """
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,8 +61,11 @@ class SolveResult:
     elapsed: float = 0.0
 
 
-def _branch_and_bound(mu, succ, W):
-    """Shared search. succ is None for the non-deterministic variant."""
+def _branch_and_bound(graph, succ):
+    """Shared search, timed. succ is None for the non-deterministic variant."""
+    t0 = time.perf_counter()
+    mu = _adjacency(graph).tolist()
+    W = getattr(graph, "vertices", tuple((i,) for i in range(len(mu))))
     n = len(mu)
     if n == 0:
         raise ValueError("no histories to assign")
@@ -77,6 +82,10 @@ def _branch_and_bound(mu, succ, W):
     members = [[] for _ in range(n)]
     targets = {}
     best = {"count": n + 1, "assign": None, "explored": 0}
+
+    def undo(trail):
+        for key in trail:
+            del targets[key]
 
     def place(v, s):
         """Try to commit v to state s, returning an undo trail or None."""
@@ -110,14 +119,9 @@ def _branch_and_bound(mu, succ, W):
                         ok = False
                         break
         if not ok:
-            for key in trail:
-                del targets[key]
+            undo(trail)
             return None
         return trail
-
-    def undo(trail):
-        for key in trail:
-            del targets[key]
 
     def recurse(v, used):
         best["explored"] += 1
@@ -145,29 +149,21 @@ def _branch_and_bound(mu, succ, W):
 
     recurse(0, 0)
     part = StatePartition(tuple(tuple(h) for h in W), best["assign"])
-    return SolveResult(best["count"], part, best["explored"])
+    return SolveResult(best["count"], part, best["explored"], time.perf_counter() - t0)
 
 
 def solve_msdpfsa(graph, succ):
     """Minimum states of a deterministic machine consistent with the
     compatibility graph and successor table."""
-    mu = _adjacency(graph)
-    W = getattr(graph, "vertices", tuple((i,) for i in range(len(mu))))
     if succ is None:
         raise ValueError("the deterministic search needs a successor table")
-    t0 = time.perf_counter()
-    result = _branch_and_bound(mu.tolist(), succ, W)
-    return replace(result, elapsed=time.perf_counter() - t0)
+    return _branch_and_bound(graph, succ)
 
 
 def solve_msndpfsa(graph):
     """Minimum states without the determinism requirement. Equals the
     minimum number of cliques that partition the compatibility graph."""
-    mu = _adjacency(graph)
-    W = getattr(graph, "vertices", tuple((i,) for i in range(len(mu))))
-    t0 = time.perf_counter()
-    result = _branch_and_bound(mu.tolist(), None, W)
-    return replace(result, elapsed=time.perf_counter() - t0)
+    return _branch_and_bound(graph, None)
 
 
 def brute_force_min_states(graph, succ=None, deterministic=False, limit=10):
@@ -232,26 +228,28 @@ class IPModel:
     Variables: x[i][j] assigns history i to state j, y[a][j][k] marks a
     transition from state j to state k on symbol a, p[j] marks state j as
     used. z[a][i] are constants: the observed shift-append successor of
-    history i under a, or None. The objective is the sum of p.
+    history i under a, or None. The objective is the sum of p. In the LP
+    text and in the rows of ``constraints`` the variables are named
+    ``x_i_j``, ``y_a_j_k`` and ``p_j``.
 
-    Constraint families (n histories, m symbols, S the state-open scale):
+    Constraint families (n histories, m symbols):
       assignment      for each i:            sum_j x[i][j] = 1
       transition      for a, i, l=succ(i,a), all j, k:
                                              x[i][j] + x[l][k] - y[a][j][k] <= 1
       determinism     for each j, a:         sum_k y[a][j][k] <= 1
       compatibility   for incompatible i<l, all j:  x[i][j] + x[l][j] <= 1
-      state-open      for each j:            sum_i x[i][j] <= S * p[j]
+      state-open      for each j:            sum_i x[i][j] <= n * p[j]
 
-    With deterministic=False the y variables and the transition and
-    determinism families are omitted; only the co-assignment structure
-    remains.
+    A self-successor (l == i) has a single x term with coefficient 2 in
+    its j == k transition rows. With deterministic=False the y variables
+    and the transition and determinism families are omitted; only the
+    co-assignment structure remains.
     """
 
     n: int
     n_symbols: int
     mu: tuple
     z: tuple
-    S: int
     deterministic: bool = True
 
     def variable_counts(self):
@@ -263,109 +261,83 @@ class IPModel:
             "p": n,
         }
 
+    def _names(self):
+        """Variable name tables x[i][j], y[a][j][k] (empty unless
+        deterministic) and p[j]."""
+        n, r = self.n, range(self.n)
+        x = [["x_%d_%d" % (i, j) for j in r] for i in r]
+        m = self.n_symbols if self.deterministic else 0
+        y = [[["y_%d_%d_%d" % (a, j, k) for k in r] for j in r] for a in range(m)]
+        return x, y, ["p_%d" % j for j in range(n)]
+
     def constraints(self):
-        """Materialize every constraint as (name, {var: coef}, sense, rhs)."""
+        """Generate every constraint, in LP order, as (name, terms, sense,
+        rhs). terms is a tuple of (coef, variable name) pairs; sense is
+        "=" or "<="."""
         n, m = self.n, self.n_symbols
-        out = []
+        x, y, p = self._names()
         for i in range(n):
-            out.append(
-                ("assign_%d" % i, {("x", i, j): 1 for j in range(n)}, "=", 1)
-            )
+            yield "assign_%d" % i, tuple((1, v) for v in x[i]), "=", 1
         if self.deterministic:
             for a in range(m):
-                for i in range(n):
-                    l = self.z[a][i]
+                for i, l in enumerate(self.z[a]):
                     if l is None:
                         continue
                     for j in range(n):
                         for k in range(n):
-                            coefs = {}
-                            # accumulate so a self-successor with j == k gets
-                            # coefficient 2 rather than a silently merged 1
-                            for var, c in ((("x", i, j), 1), (("x", l, k), 1), (("y", a, j, k), -1)):
-                                coefs[var] = coefs.get(var, 0) + c
-                            out.append(
-                                ("trans_%d_%d_%d_%d" % (a, i, j, k), coefs, "<=", 1)
-                            )
+                            if i == l and j == k:
+                                terms = ((2, x[i][j]), (-1, y[a][j][k]))
+                            else:
+                                terms = ((1, x[i][j]), (1, x[l][k]), (-1, y[a][j][k]))
+                            yield "trans_%d_%d_%d_%d" % (a, i, j, k), terms, "<=", 1
             for j in range(n):
                 for a in range(m):
-                    out.append(
-                        (
-                            "det_%d_%d" % (j, a),
-                            {("y", a, j, k): 1 for k in range(n)},
-                            "<=",
-                            1,
-                        )
-                    )
+                    yield "det_%d_%d" % (j, a), tuple((1, v) for v in y[a][j]), "<=", 1
         for i in range(n):
             for l in range(i + 1, n):
                 if not self.mu[i][l]:
                     for j in range(n):
-                        out.append(
-                            (
-                                "compat_%d_%d_%d" % (i, l, j),
-                                {("x", i, j): 1, ("x", l, j): 1},
-                                "<=",
-                                1,
-                            )
-                        )
+                        terms = ((1, x[i][j]), (1, x[l][j]))
+                        yield "compat_%d_%d_%d" % (i, l, j), terms, "<=", 1
         for j in range(n):
-            coefs = {("x", i, j): 1 for i in range(n)}
-            coefs[("p", j)] = -self.S
-            out.append(("open_%d" % j, coefs, "<=", 0))
-        return out
+            terms = tuple((1, x[i][j]) for i in range(n)) + ((-n, p[j]),)
+            yield "open_%d" % j, terms, "<=", 0
 
 
-def build_ip_model(graph, succ, deterministic=True, S=None):
+def build_ip_model(graph, succ, deterministic=True):
     """Materialize the minimum-state problem for the given compatibility
-    graph and successor table. S defaults to the number of histories,
-    making p[j] = 1 exactly when state j is occupied. succ may be None
-    when deterministic=False."""
+    graph and successor table. succ may be None when deterministic=False."""
     mu = _adjacency(graph)
     n = len(mu)
     if deterministic and succ is None:
         raise ValueError("the deterministic model needs a successor table")
     m = len(succ[0]) if succ else 0
     z = tuple(tuple(succ[i][a] for i in range(n)) for a in range(m))
-    return IPModel(
-        n, m, tuple(map(tuple, mu.tolist())), z, S if S is not None else n, deterministic
-    )
+    return IPModel(n, m, tuple(map(tuple, mu.tolist())), z, deterministic)
 
 
-def _var_name(v):
-    return "_".join(str(part) for part in v)
+def _lp_expr(terms):
+    """LP text of a linear expression: "2 x_0_0 - y_0_0_0"."""
+    tokens = []
+    for coef, var in terms:
+        if tokens or coef < 0:
+            tokens.append("-" if coef < 0 else "+")
+        if abs(coef) != 1:
+            tokens.append(str(abs(coef)))
+        tokens.append(var)
+    return " ".join(tokens)
 
 
 def to_lp_text(model):
     """Serialize the model in LP format."""
-    lines = ["Minimize", " obj: " + " + ".join("p_%d" % j for j in range(model.n))]
-    lines.append("Subject To")
-    for name, coefs, sense, rhs in model.constraints():
-        terms = []
-        for var, coef in coefs.items():
-            if coef == 1:
-                terms.append("+ %s" % _var_name(var))
-            elif coef == -1:
-                terms.append("- %s" % _var_name(var))
-            else:
-                sign = "+" if coef >= 0 else "-"
-                terms.append("%s %d %s" % (sign, abs(coef), _var_name(var)))
-        expr = " ".join(terms).lstrip("+ ")
-        op = {"<=": "<=", ">=": ">=", "=": "="}[sense]
-        lines.append(" %s: %s %s %d" % (name, expr, op, rhs))
+    x, y, p = model._names()
+    lines = ["Minimize", " obj: " + " + ".join(p), "Subject To"]
+    for name, terms, sense, rhs in model.constraints():
+        lines.append(" %s: %s %s %d" % (name, _lp_expr(terms), sense, rhs))
     lines.append("Binary")
-    names = []
-    for i in range(model.n):
-        for j in range(model.n):
-            names.append("x_%d_%d" % (i, j))
-    if model.deterministic:
-        for a in range(model.n_symbols):
-            for j in range(model.n):
-                for k in range(model.n):
-                    names.append("y_%d_%d_%d" % (a, j, k))
-    for j in range(model.n):
-        names.append("p_%d" % j)
-    lines.extend(" " + nm for nm in names)
+    lines.extend(" " + v for row in x for v in row)
+    lines.extend(" " + v for plane in y for row in plane for v in row)
+    lines.extend(" " + v for v in p)
     lines.append("End")
     return "\n".join(lines) + "\n"
 
@@ -375,48 +347,29 @@ def solve_ip_model(model, limit=8):
 
     Enumerates the assignment space (every x satisfying the assignment
     family, up to state relabelling), derives the induced y and p, then
-    keeps the candidate only if every materialized constraint holds.
+    keeps the candidate only if every row of ``constraints`` holds when
+    the variables named in the candidate's set are 1 and all others 0.
     Deliberately independent of the branch-and-bound pruning logic.
     """
     n, m = model.n, model.n_symbols
     if n > limit:
         raise TooLargeForOracleError("%d histories exceed the model-search limit %d" % (n, limit))
-    constraints = model.constraints()
+    rows = list(model.constraints())
     best = [None]
 
     def evaluate(assign):
-        x = [[0] * n for _ in range(n)]
-        for i, j in enumerate(assign):
-            x[i][j] = 1
-        y = [[[0] * n for _ in range(n)] for _ in range(m)]
+        ones = {"x_%d_%d" % (i, j) for i, j in enumerate(assign)}
+        ones.update("p_%d" % j for j in assign)
         if model.deterministic:
             for a in range(m):
-                for i in range(n):
-                    l = model.z[a][i]
+                for i, l in enumerate(model.z[a]):
                     if l is not None:
-                        y[a][assign[i]][assign[l]] = 1
-        p = [0] * n
-        for j in assign:
-            p[j] = 1
-        values = {}
-        for i in range(n):
-            for j in range(n):
-                values[("x", i, j)] = x[i][j]
-        for a in range(m):
-            for j in range(n):
-                for k in range(n):
-                    values[("y", a, j, k)] = y[a][j][k]
-        for j in range(n):
-            values[("p", j)] = p[j]
-        for name, coefs, sense, rhs in constraints:
-            total = sum(coef * values[var] for var, coef in coefs.items())
-            if sense == "=" and total != rhs:
+                        ones.add("y_%d_%d_%d" % (a, assign[i], assign[l]))
+        for _, terms, sense, rhs in rows:
+            total = sum(coef for coef, var in terms if var in ones)
+            if (total != rhs) if sense == "=" else (total > rhs):
                 return None
-            if sense == "<=" and total > rhs:
-                return None
-            if sense == ">=" and total < rhs:
-                return None
-        return sum(p)
+        return len(set(assign))
 
     assign = [0] * n
 

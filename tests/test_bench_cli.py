@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import sys
 from collections import Counter
 
@@ -22,6 +23,7 @@ from minpfsa import (
     run_bench,
     write_csv,
 )
+from minpfsa import bench
 from minpfsa.cli import main
 
 FULL_CONFIG = """\
@@ -135,6 +137,19 @@ def test_run_bench_timeout_flag():
     assert rows[0]["flag"] == "timeout"
     assert rows[0]["states"] == -1
     assert rows[0]["seconds"] == pytest.approx(1e-4)
+
+
+def test_run_bench_child_death_flags_error(monkeypatch):
+    # the forked child inherits the patch and exits before it can reply
+    monkeypatch.setattr(bench, "_run_point", lambda cfg_point: os._exit(3))
+    cfg = BenchConfig(
+        methods=("cssr", "ip"), alphabets=(2,), lengths=(30,), reps=1,
+        seed=7, timeout=30.0,
+    )
+    rows = run_bench(cfg)
+    assert [(r["method"], r["flag"], r["states"]) for r in rows] == [
+        ("cssr", "error", -1), ("ip", "error", -1),
+    ]
 
 
 def test_write_csv():

@@ -1,5 +1,7 @@
 """Branch-and-bound searches, the partition oracle and the IP view."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -229,3 +231,46 @@ def test_lp_text_without_determinism(fixture_graph, fixture_succ):
     lines = text.splitlines()
     binaries = lines[lines.index("Binary") + 1 : lines.index("End")]
     assert len(binaries) == 16 + 4
+
+
+# sha256 of to_lp_text, recorded before the constraint stream was rewritten:
+# the LP bytes of every model must stay exactly as they were
+FIXTURE_LP_SHA256 = {
+    True: "6f3173516dbc0bbe5602a731ff329969effd5d4551e76f701e5a3c1754519c41",
+    False: "0a4311fa903c590105b032b88d1adef76990ad5883e18e7d4d1aa5a187833269",
+}
+POOL_LP_SHA256 = [  # make_instances(4, seed=9): (deterministic, relaxed)
+    ("164e2a48c5c17607aad6cbc7517ba10120c51615b8066a28980059fe65be4c09",
+     "a13ac3b15886ac9f7795df95e8775bb98062f940411bd65262cbbf3b38752c7e"),
+    ("7b0c64e67cf2f870af8fa5cd7e10df4d7a05e6e6805c5c911edfcbd1b45e12f6",
+     "27e7d2c827c699d28a40a47736db83f6fe457267c9d26a7c728e421871de6223"),
+    ("3d4a05c3abf1c338a4a6065b34f8626cfe9a4d2e689070c09c258947a46a4d64",
+     "6ade8293e54bb6608b942399b9021d8ac85bdd2ea3b6f870cd6c68ed3112f689"),
+    ("6340ad7f0952e2e55a9312770ecc86d58058ca94b16f48e66ebf87ebf4ecd4b0",
+     "88112ff1196eea2c2ffd3f4b839a74128f435922b589530b6f3c204dce61d132"),
+]
+
+
+def _lp_sha256(graph, succ, deterministic):
+    model = build_ip_model(graph, succ, deterministic=deterministic)
+    return hashlib.sha256(to_lp_text(model).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("deterministic", [True, False])
+def test_lp_text_bytes_fixture(fixture_graph, fixture_succ, deterministic):
+    digest = _lp_sha256(fixture_graph, fixture_succ, deterministic)
+    assert digest == FIXTURE_LP_SHA256[deterministic]
+
+
+def test_lp_text_bytes_pool():
+    instances = make_instances(4, seed=9)
+    # self-successors (a history followed by itself) take the j == k row form
+    assert any(
+        row[a] == i for _, _, succ in instances for i, row in enumerate(succ)
+        for a in range(len(row))
+    )
+    got = [
+        (_lp_sha256(graph, succ, True), _lp_sha256(graph, succ, False))
+        for _, graph, succ in instances
+    ]
+    assert got == POOL_LP_SHA256
