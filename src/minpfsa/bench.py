@@ -7,23 +7,25 @@ emitted in sorted order and everything except the seconds column is
 deterministic for a fixed seed.
 
 Each run executes in a forked child process so a hung method can be
-killed at the configured timeout; the reported seconds are measured
-inside the child around counting plus inference only.
+killed at the configured timeout. The child inherits the sampled
+sequence through the fork, and the seconds it reports are measured
+around the same route code that ``minpfsa infer`` runs (``cli.infer``),
+from counting the windows to the built machine. A run killed at the
+timeout, or one whose own seconds exceed it, is flagged ``timeout``.
+A configuration value that ``BenchConfig`` rejects is a FormatError in
+``parse_bench_config``, so ``minpfsa bench`` exits 1 on it.
 """
 
 import multiprocessing
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .cliques import clique_pipeline
-from .cssr import cssr
 from .errors import FormatError
-from .exact import solve_msdpfsa
 from .machine import PFSA, sample
-from .sequences import Alphabet, count_windows, succ_table
-from .stat_tests import TestConfig, compatibility_graph
+from .sequences import Alphabet, count_windows
+from .stat_tests import TestConfig
 
 METHODS = ("cssr", "ip", "clique")
 
@@ -41,17 +43,31 @@ class BenchConfig:
     timeout: float = 300.0
 
     def __post_init__(self):
+        for m in self.methods:
+            if m not in METHODS:
+                raise ValueError("unknown method %r" % m)
+        TestConfig(test=self.test, alpha=self.alpha)
         if self.reps < 1:
             raise ValueError("reps must be at least 1")
-        if list(self.lengths) != sorted(self.lengths):
-            raise ValueError("lengths must be ascending")
+        if self.L < 0:
+            raise ValueError("L must be non-negative")
+        if not self.timeout > 0:
+            raise ValueError("timeout must be positive")
+        if min(self.lengths, default=1) < 1 or list(self.lengths) != sorted(self.lengths):
+            raise ValueError("lengths must be positive and ascending")
+
+
+_DEFAULTS = {f.name: f.default for f in fields(BenchConfig)}
 
 
 def parse_bench_config(text):
     """Parse the key = value benchmark configuration format.
 
     Lines starting with # and blank lines are ignored. Unknown keys are
-    an error so that typos do not silently fall back to defaults.
+    an error so that typos do not silently fall back to defaults. Each
+    value is converted by the type of its field's default (a tuple field
+    takes a comma-separated list), and every value the configuration
+    rejects raises FormatError.
     """
     values = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -62,28 +78,20 @@ def parse_bench_config(text):
             raise FormatError("line %d: expected key = value" % lineno)
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
+        if key not in _DEFAULTS:
+            raise FormatError("line %d: unknown key %r" % (lineno, key))
+        default = _DEFAULTS[key]
         try:
-            if key == "methods":
-                items = tuple(v.strip() for v in val.split(","))
-                for m in items:
-                    if m not in METHODS:
-                        raise ValueError("unknown method %r" % m)
-                values["methods"] = items
-            elif key == "alphabets":
-                values["alphabets"] = tuple(int(v) for v in val.split(","))
-            elif key == "lengths":
-                values["lengths"] = tuple(int(v) for v in val.split(","))
-            elif key in ("reps", "seed", "L"):
-                values[key] = int(val)
-            elif key in ("alpha", "timeout"):
-                values[key] = float(val)
-            elif key == "test":
-                values["test"] = val
+            if isinstance(default, tuple):
+                values[key] = tuple(type(default[0])(v.strip()) for v in val.split(","))
             else:
-                raise ValueError("unknown key %r" % key)
+                values[key] = type(default)(val)
         except ValueError as exc:
             raise FormatError("line %d: %s" % (lineno, exc))
-    return BenchConfig(**values)
+    try:
+        return BenchConfig(**values)
+    except ValueError as exc:
+        raise FormatError(str(exc))
 
 
 def random_machine(rng, n_states, alphabet):
@@ -102,26 +110,14 @@ def random_machine(rng, n_states, alphabet):
 
 
 def _run_point(cfg_point):
-    """Child-process body: time one method on one sequence."""
-    from .sequences import from_text
+    """Child-process body: time counting plus one ``infer`` route on one
+    sequence and return (seconds, states)."""
+    from .cli import infer  # imported here because cli imports this module
 
-    method, text, n_symbols, L, alpha, test = cfg_point
-    alphabet = Alphabet(tuple(str(i) for i in range(n_symbols)))
-    seq = from_text(text, alphabet)
-    tcfg = TestConfig(test=test, alpha=alpha)
+    method, seq, L, test_config = cfg_point
     t0 = time.perf_counter()
-    wc = count_windows(seq, L)
-    if method == "cssr":
-        states = cssr(wc, tcfg).num_states
-    elif method == "ip":
-        graph = compatibility_graph(wc, tcfg)
-        states = solve_msdpfsa(graph, succ_table(wc, graph.vertices)).optimum
-    elif method == "clique":
-        states = clique_pipeline(wc, tcfg).machine.num_states
-    else:
-        raise ValueError("unknown method %r" % method)
-    seconds = time.perf_counter() - t0
-    return seconds, states
+    machine, _ = infer(count_windows(seq, L), method, test_config)
+    return time.perf_counter() - t0, machine.num_states
 
 
 def _child(conn, cfg_point):
@@ -134,6 +130,7 @@ def _child(conn, cfg_point):
 
 
 def _timed_run(cfg_point, timeout):
+    """Run one point in a forked child; return (seconds, states, flag)."""
     ctx = multiprocessing.get_context("fork")
     parent, child = ctx.Pipe(duplex=False)
     proc = ctx.Process(target=_child, args=(child, cfg_point))
@@ -150,7 +147,13 @@ def _timed_run(cfg_point, timeout):
         proc.join()
         result = None
     parent.close()
-    return result
+    if result is not None and result[0] == "error":
+        return 0.0, -1, "error"
+    # a child can reply before the first poll even when it overran
+    if result is None or result[0] > timeout:
+        return float(timeout), -1, "timeout"
+    seconds, states = result
+    return float(seconds), int(states), "ok"
 
 
 def run_bench(config):
@@ -162,6 +165,7 @@ def run_bench(config):
     cssr_below_ip (heuristic returned fewer states than the exact
     deterministic optimum).
     """
+    test_config = TestConfig(test=config.test, alpha=config.alpha)
     rows = []
     for n_symbols in config.alphabets:
         alphabet = Alphabet(tuple(str(i) for i in range(n_symbols)))
@@ -172,47 +176,23 @@ def run_bench(config):
                 )
                 rng = np.random.default_rng(ss)
                 source = random_machine(rng, int(rng.integers(2, 5)), alphabet)
-                text = sample(source, length, int(rng.integers(2 ** 63))).text()
+                seq = sample(source, length, int(rng.integers(2 ** 63)))
                 point = {}
                 for method in config.methods:
-                    cfg_point = (method, text, n_symbols, config.L, config.alpha, config.test)
-                    result = _timed_run(cfg_point, config.timeout)
-                    if result is None:
-                        row = dict(
-                            method=method, alphabet=n_symbols, length=length,
-                            rep=rep, seconds=float(config.timeout), states=-1,
-                            flag="timeout",
-                        )
-                    elif result[0] == "error":
-                        row = dict(
-                            method=method, alphabet=n_symbols, length=length,
-                            rep=rep, seconds=0.0, states=-1, flag="error",
-                        )
-                    else:
-                        seconds, states = result
-                        row = dict(
-                            method=method, alphabet=n_symbols, length=length,
-                            rep=rep, seconds=float(seconds), states=int(states),
-                            flag="ok",
-                        )
+                    seconds, states, flag = _timed_run(
+                        (method, seq, config.L, test_config), config.timeout)
+                    row = dict(method=method, alphabet=n_symbols, length=length,
+                               rep=rep, seconds=seconds, states=states, flag=flag)
                     point[method] = row
                     rows.append(row)
                 ip_row = point.get("ip")
                 if ip_row and ip_row["flag"] == "ok":
-                    clique_row = point.get("clique")
-                    if (
-                        clique_row
-                        and clique_row["flag"] == "ok"
-                        and clique_row["states"] != ip_row["states"]
-                    ):
-                        clique_row["flag"] = "mismatch"
-                    cssr_row = point.get("cssr")
-                    if (
-                        cssr_row
-                        and cssr_row["flag"] == "ok"
-                        and cssr_row["states"] < ip_row["states"]
-                    ):
-                        cssr_row["flag"] = "cssr_below_ip"
+                    row = point.get("clique")
+                    if row and row["flag"] == "ok" and row["states"] != ip_row["states"]:
+                        row["flag"] = "mismatch"
+                    row = point.get("cssr")
+                    if row and row["flag"] == "ok" and row["states"] < ip_row["states"]:
+                        row["flag"] = "cssr_below_ip"
     rows.sort(key=lambda r: (r["method"], r["alphabet"], r["length"], r["rep"]))
     return rows
 

@@ -16,7 +16,7 @@ command line usage errors.
 import argparse
 import sys
 
-from .bench import BenchConfig, parse_bench_config, run_bench, write_csv
+from .bench import METHODS, BenchConfig, parse_bench_config, run_bench, write_csv
 from .cliques import clique_pipeline
 from .cssr import cssr
 from .errors import MinpfsaError
@@ -75,20 +75,30 @@ def cmd_gen_fixture(args):
     return 0
 
 
+def infer(wc, method, config):
+    """Run one inference route on window counts; the one place where the
+    routes are composed, for ``infer`` and for the bench.
+
+    Returns the machine and the compatibility graph the route built,
+    which is None for cssr. Raises ValueError on an unknown method.
+    """
+    if method == "cssr":
+        return cssr(wc, config), None
+    if method == "ip":
+        graph = compatibility_graph(wc, config)
+        result = solve_msdpfsa(graph, succ_table(wc, graph.vertices))
+        return build_machine(wc, result.partition), graph
+    if method == "clique":
+        result = clique_pipeline(wc, config)
+        return result.machine, result.graph
+    raise ValueError("unknown method %r" % method)
+
+
 def cmd_infer(args):
     seq = _read_sequence(args.infile, args.tokens)
     cfg = TestConfig(test=args.test, alpha=args.alpha)
     wc = count_windows(seq, args.L)
-    graph = None
-    if args.method == "cssr":
-        machine = cssr(wc, cfg)
-    elif args.method == "ip":
-        graph = compatibility_graph(wc, cfg)
-        result = solve_msdpfsa(graph, succ_table(wc, graph.vertices))
-        machine = build_machine(wc, result.partition)
-    else:
-        result = clique_pipeline(wc, cfg)
-        machine, graph = result.machine, result.graph
+    machine, graph = infer(wc, args.method, cfg)
     render = to_dot if args.format == "dot" else to_json
     _write(args.out, render(machine))
     if args.lp:
@@ -143,7 +153,7 @@ def build_parser():
     sub.set_defaults(func=cmd_gen_fixture)
 
     sub = subs.add_parser("infer", help="infer a machine from a sequence file")
-    sub.add_argument("--method", choices=("cssr", "ip", "clique"), default="cssr")
+    sub.add_argument("--method", choices=METHODS, default="cssr")
     _add_input_args(sub)
     sub.add_argument("--format", choices=("json", "dot"), default="json",
                      help="machine output format (default json)")

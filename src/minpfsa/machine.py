@@ -211,7 +211,7 @@ def build_machine(wc, partition):
     return PFSA(wc.alphabet, states, delta, probs, start, tuple(dangling))
 
 
-def sample(machine, n, seed, start_state=None):
+def sample(machine, n, seed):
     """Sample n symbols by walking the machine from the start state.
 
     The next state follows delta; when a (state, symbol) pair has several
@@ -221,7 +221,7 @@ def sample(machine, n, seed, start_state=None):
     if n <= 0:
         raise ValueError("sample length must be positive")
     rng = np.random.default_rng(seed)
-    state = machine.start_state if start_state is None else start_state
+    state = machine.start_state
     n_sym = len(machine.alphabet)
     out = np.empty(n, dtype=np.int64)
     for t in range(n):

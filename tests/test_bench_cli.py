@@ -14,8 +14,10 @@ from minpfsa import (
     BenchConfig,
     CSV_HEADER,
     FormatError,
+    TestConfig,
     build_machine,
     compatibility_graph,
+    count_windows,
     cssr_split,
     gen_fixture,
     parse_bench_config,
@@ -24,7 +26,7 @@ from minpfsa import (
     write_csv,
 )
 from minpfsa import bench
-from minpfsa.cli import main
+from minpfsa.cli import infer, main
 
 FULL_CONFIG = """\
 # benchmark grid
@@ -59,6 +61,13 @@ def test_parse_bench_config_defaults():
         ("colour = red", "unknown key"),
         ("methods = cssr, fancy", "unknown method"),
         ("lengths = 10\nreps = x", "line 2"),
+        ("reps = 0", "reps must be at least 1"),
+        ("lengths = 100, 10", "lengths must be positive and ascending"),
+        ("lengths = 0, 10", "lengths must be positive and ascending"),
+        ("L = -1", "L must be non-negative"),
+        ("timeout = 0", "timeout must be positive"),
+        ("test = bogus", "unknown test"),
+        ("alpha = 2", "alpha must be in (0, 1)"),
     ],
 )
 def test_parse_bench_config_rejects(text, fragment):
@@ -150,6 +159,23 @@ def test_run_bench_child_death_flags_error(monkeypatch):
     assert [(r["method"], r["flag"], r["states"]) for r in rows] == [
         ("cssr", "error", -1), ("ip", "error", -1),
     ]
+
+
+def test_run_bench_times_the_sampled_sequence(monkeypatch):
+    # symbols of two or more digits must reach the child as sampled
+    monkeypatch.setattr(bench, "_run_point", lambda cfg_point: (0.0, len(cfg_point[1])))
+    cfg = BenchConfig(methods=("cssr",), alphabets=(12,), lengths=(200,), reps=1, seed=3)
+    rows = run_bench(cfg)
+    assert [(r["flag"], r["states"]) for r in rows] == [("ok", 200)]
+
+
+def test_run_bench_overrun_reply_flags_timeout(monkeypatch):
+    # the child replies in time for the poll but measured more than the timeout
+    monkeypatch.setattr(bench, "_run_point", lambda cfg_point: (1.0, 3))
+    cfg = BenchConfig(methods=("cssr",), alphabets=(2,), lengths=(30,), reps=1,
+                      seed=7, timeout=0.5)
+    rows = run_bench(cfg)
+    assert [(r["flag"], r["states"], r["seconds"]) for r in rows] == [("timeout", -1, 0.5)]
 
 
 def test_write_csv():
@@ -274,6 +300,21 @@ def test_cli_bad_config_returns_one(tmp_path, capsys):
     cfg.write_text("colour = red\n")
     assert main(["bench", "--config", str(cfg)]) == 1
     assert "unknown key" in capsys.readouterr().err
+
+
+def test_cli_bad_test_in_config_returns_one(tmp_path, capsys):
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text("methods = cssr\nlengths = 30\nreps = 1\ntest = bogus\n")
+    out = tmp_path / "results.csv"
+    assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "unknown test" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_infer_unknown_method():
+    wc = count_windows(gen_fixture(), 2)
+    with pytest.raises(ValueError, match="unknown method"):
+        infer(wc, "fancy", TestConfig())
 
 
 def test_cli_usage_errors_exit_two():

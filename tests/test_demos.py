@@ -1,7 +1,4 @@
-"""The narrative demos run to completion against the current package.
-
-Demo 04 is left out because it runs the benchmark grid.
-"""
+"""The narrative demos run to completion against the current package."""
 
 import os
 import subprocess
@@ -19,6 +16,7 @@ ROOT = Path(__file__).resolve().parent.parent
         "01_walkthrough.py",
         "02_method_comparison.py",
         "03_clique_machinery.py",
+        "04_benchmark.py",
         "05_sampling_roundtrip.py",
     ],
 )
