@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import CoverOverflowError
 from .exact import _adjacency
-from .machine import build_machine, partition_from_blocks, split_to_deterministic
+from .machine import StatePartition, build_machine, split_to_deterministic
 from .stat_tests import TestConfig, compatibility_graph
 
 
@@ -157,9 +157,10 @@ def enumerate_exact_covers(graph, optimum, cap=10000):
 def reconstruct_deterministic(cover, W, wc):
     """Turn one exact cover (blocks of vertex indices) into a
     deterministic partition by successor-signature splitting."""
-    W = [tuple(h) for h in W]
-    blocks = [tuple(W[v] for v in block) for block in cover]
-    part = partition_from_blocks(W, blocks)
+    state = {v: s for s, block in enumerate(cover) for v in block}
+    if sorted(state) != list(range(len(W))) or sum(map(len, cover)) != len(W):
+        raise ValueError("cover is not a partition of the vertices")
+    part = StatePartition(tuple(tuple(h) for h in W), tuple(state[v] for v in range(len(W))))
     return split_to_deterministic(part, wc)
 
 

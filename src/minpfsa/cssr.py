@@ -5,7 +5,7 @@ observed histories of that length are clustered into fresh states: each
 history, taken in order of first appearance in the sequence, is compared
 against the pooled next-symbol distribution of every state formed so far
 at this length and joins the best-matching state when the test accepts,
-otherwise it opens a new state. Pooled distributions are recomputed as
+otherwise it opens a new state. Each state's pooled counts grow as
 members join. Lengths below L only matter as a progress trace, so they
 are clustered only when the trace is asked for; the partition of the
 length-L histories is the splitting result.
@@ -16,29 +16,32 @@ state count is stable, which makes the transition structure
 deterministic.
 """
 
-import numpy as np
-
-from .machine import build_machine, partition_from_blocks, split_to_deterministic
+from .machine import StatePartition, build_machine, split_to_deterministic
 from .sequences import histories
 from .stat_tests import TestConfig, pvalue
 
 
 def _cluster_level(wc, level, cfg):
-    """Cluster the extendable histories of one window length into states."""
-    states = []
-    for h in histories(wc, level):
+    """Cluster the extendable histories of one window length into a
+    StatePartition, numbering states in the order they open. Each state
+    keeps the running sum of its members' continuation counts."""
+    W = tuple(histories(wc, level))
+    pooled = []
+    assign = []
+    for h in W:
         ext = wc.extension_counts(h)
         best_p, best_state = -1.0, None
-        for s in states:
-            pooled = np.sum([wc.extension_counts(m) for m in s], axis=0)
-            p = pvalue(ext, pooled, cfg)
+        for s, counts in enumerate(pooled):
+            p = pvalue(ext, counts, cfg)
             if p > best_p:
                 best_p, best_state = p, s
         if best_state is not None and best_p > cfg.alpha:
-            best_state.append(h)
+            pooled[best_state] += ext
         else:
-            states.append([h])
-    return states
+            best_state = len(pooled)
+            pooled.append(ext)
+        assign.append(best_state)
+    return StatePartition(W, tuple(assign))
 
 
 def cssr_split(wc, config=None, return_trace=False):
@@ -50,12 +53,10 @@ def cssr_split(wc, config=None, return_trace=False):
     clusterings as a list of (level, blocks) pairs.
     """
     cfg = config or TestConfig()
-    levels = range(wc.L + 1) if return_trace else [wc.L]
-    trace = [(level, [tuple(s) for s in _cluster_level(wc, level, cfg)]) for level in levels]
-    part = partition_from_blocks(histories(wc), trace[-1][1])
-    if return_trace:
-        return part, trace
-    return part
+    if not return_trace:
+        return _cluster_level(wc, wc.L, cfg)
+    parts = [_cluster_level(wc, level, cfg) for level in range(wc.L + 1)]
+    return parts[-1], [(level, part.blocks()) for level, part in enumerate(parts)]
 
 
 def cssr_reconstruct(partition, wc):

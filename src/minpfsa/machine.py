@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DeadEndError, FormatError
-from .sequences import Alphabet, SymbolSequence, state_dist, succ_table, successor
+from .sequences import Alphabet, SymbolSequence, state_dist, succ_table
 
 # ---------------------------------------------------------------------------
 # partitions
@@ -82,34 +82,37 @@ def partition_from_blocks(W, blocks):
 
 
 def split_to_deterministic(partition, wc):
-    """Split partition blocks by successor-state signature until the state
+    """Split partition states by successor-state signature until the state
     count is stable.
 
-    Within a block, histories are grouped first-fit: a history joins the
+    Within a state, histories are grouped first-fit: a history joins the
     first group whose signature it does not contradict, where a signature
     maps each symbol to the state of the group members' successors and an
     unobserved (history, symbol) pair imposes no constraint. Growing a
     group can therefore narrow its signature for symbols earlier members
-    left open.
+    left open. Each history's new state is its (old state, group) pair,
+    numbered in first-fit order along W; when no state splits, the current
+    partition is returned.
     """
     part = partition.canonical()
     succ = succ_table(wc, part.W)
     while True:
-        groups = [[] for _ in range(part.num_states)]
-        for i, s in enumerate(part.assign):
-            sig = {a: part.assign[l] for a, l in enumerate(succ[i]) if l is not None}
-            for g in groups[s]:
-                if all(g["sig"].get(a, v) == v for a, v in sig.items()):
-                    g["sig"].update(sig)
-                    g["members"].append(part.W[i])
+        sigs = [[] for _ in range(part.num_states)]
+        labels = {}
+        assign = []
+        for s, row in zip(part.assign, succ):
+            sig = {a: part.assign[l] for a, l in enumerate(row) if l is not None}
+            for g, group_sig in enumerate(sigs[s]):
+                if all(group_sig.get(a, v) == v for a, v in sig.items()):
+                    group_sig.update(sig)
                     break
             else:
-                groups[s].append({"sig": sig, "members": [part.W[i]]})
-        new_blocks = [tuple(g["members"]) for block in groups for g in block]
-        new_part = partition_from_blocks(part.W, new_blocks)
-        if new_part.num_states == part.num_states:
-            return new_part
-        part = new_part
+                g = len(sigs[s])
+                sigs[s].append(sig)
+            assign.append(labels.setdefault((s, g), len(labels)))
+        if len(labels) == part.num_states:
+            return part
+        part = StatePartition(part.W, tuple(assign))
 
 
 # ---------------------------------------------------------------------------
@@ -124,9 +127,7 @@ class PFSA:
     state j's smallest member history is lexicographically below state
     j+1's. delta maps (state, symbol) to a frozenset of target states and
     probs maps (state, symbol) to the emission probability, renormalized
-    over the symbols that kept a target. dangling records the
-    (state, symbol, history) triples whose successor had no state and were
-    dropped from delta.
+    over the symbols that kept a target.
     """
 
     alphabet: Alphabet
@@ -134,7 +135,6 @@ class PFSA:
     delta: dict
     probs: dict
     start_state: int = 0
-    dangling: tuple = ()
 
     @property
     def num_states(self):
@@ -164,37 +164,25 @@ def check_determinism(machine):
 def build_machine(wc, partition):
     """Build a PFSA from a partition of the length-L histories of wc.
 
-    States are relabelled by smallest contained history. Emission
-    probabilities pool the member continuation counts; symbols whose every
-    successor fell outside the partition lose their edge and the remaining
-    symbols are renormalized.
+    States are relabelled by smallest contained history. Each transition
+    is read from succ_table: an observed continuation whose successor has
+    no state of its own is dropped. Emission probabilities pool the member
+    continuation counts; symbols that kept no transition lose their edge
+    and the remaining symbols are renormalized.
     """
     part = partition.canonical()
     blocks = part.blocks()
     order = sorted(range(len(blocks)), key=lambda s: min(blocks[s]))
     relabel = {old: new for new, old in enumerate(order)}
     states = tuple(blocks[old] for old in order)
+    state = [relabel[s] for s in part.assign]
 
-    lookup = {}
-    for j, block in enumerate(states):
-        for h in block:
-            lookup[h] = j
-
-    delta = {}
-    dangling = []
-    for j, block in enumerate(states):
-        for a in range(len(wc.alphabet)):
-            targets = set()
-            for h in block:
-                if wc.count(tuple(h) + (a,)) == 0:
-                    continue
-                succ = successor(h, a)
-                if succ in lookup:
-                    targets.add(lookup[succ])
-                else:
-                    dangling.append((j, a, h))
-            if targets:
-                delta[(j, a)] = frozenset(targets)
+    targets = {}
+    for i, row in enumerate(succ_table(wc, part.W)):
+        for a, l in enumerate(row):
+            if l is not None:
+                targets.setdefault((state[i], a), set()).add(state[l])
+    delta = {key: frozenset(targets[key]) for key in sorted(targets)}
 
     probs = {}
     for j, block in enumerate(states):
@@ -206,9 +194,9 @@ def build_machine(wc, partition):
 
     mfs = int(np.argmax([wc.count((a,)) for a in range(len(wc.alphabet))]))
     home = tuple([mfs] * wc.L)
-    start = lookup.get(home, 0)
+    start = state[part.W.index(home)] if home in part.W else 0
 
-    return PFSA(wc.alphabet, states, delta, probs, start, tuple(dangling))
+    return PFSA(wc.alphabet, states, delta, probs, start)
 
 
 def sample(machine, n, seed):
@@ -278,12 +266,9 @@ def from_json(text):
         tok_index = {t: i for i, t in enumerate(alphabet.symbols)}
         ids = [s["id"] for s in obj["states"]]
         id_map = {sid: j for j, sid in enumerate(ids)}
-        states = []
-        for s in obj["states"]:
-            block = []
-            for hist in s["histories"]:
-                block.append(tuple(tok_index[c] for c in hist))
-            states.append(tuple(block))
+        states = tuple(
+            tuple(alphabet.parse(hist) for hist in s["histories"]) for s in obj["states"]
+        )
         delta = {}
         probs = {}
         for tr in obj["transitions"]:
@@ -298,10 +283,10 @@ def from_json(text):
                     % (tr["from"], tr["symbol"])
                 )
             probs[(j, a)] = tr["prob"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, AttributeError) as exc:
         raise FormatError("missing or malformed field: %s" % exc)
     delta = {k: frozenset(v) for k, v in delta.items()}
-    return PFSA(alphabet, tuple(states), delta, probs)
+    return PFSA(alphabet, states, delta, probs)
 
 
 def to_dot(machine):

@@ -38,8 +38,19 @@ class Alphabet:
         return self.symbols.index(token)
 
     def render(self, history):
-        """Render a history (tuple of ordinals) as a string."""
-        return "".join(str(self.symbols[a]) for a in history)
+        """Render a history (ordinals) as a string, joining the symbols with
+        single spaces when some symbol is longer than one character."""
+        sep = " " if any(len(str(t)) > 1 for t in self.symbols) else ""
+        return sep.join(str(self.symbols[a]) for a in history)
+
+    def parse(self, text):
+        """The history (tuple of ordinals) that render wrote as text."""
+        lookup = {str(t): i for i, t in enumerate(self.symbols)}
+        items = text.split() if any(len(t) > 1 for t in lookup) else text
+        try:
+            return tuple(lookup[t] for t in items)
+        except KeyError as exc:
+            raise FormatError("symbol %r not in alphabet %r" % (exc.args[0], self.symbols))
 
 
 BINARY = Alphabet(("0", "1"))
@@ -63,7 +74,7 @@ class SymbolSequence:
         return len(self.tokens)
 
     def text(self):
-        return "".join(str(self.alphabet.symbols[a]) for a in self.tokens)
+        return self.alphabet.render(self.tokens)
 
 
 def from_text(text, alphabet=None):
@@ -216,14 +227,7 @@ class ConditionalDistribution:
 
 def cond_dist(wc, history):
     """Conditional next-symbol distribution of a single history."""
-    h = tuple(history)
-    ext = wc.extension_counts(h)
-    support = int(ext.sum())
-    if wc.count(h) == 0 or support == 0:
-        raise UnobservedHistoryError(
-            "history %r has no observed continuation" % (h,)
-        )
-    return ConditionalDistribution(ext / support, support)
+    return state_dist(wc, [tuple(history)])
 
 
 def state_dist(wc, histories):

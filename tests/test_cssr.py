@@ -5,7 +5,9 @@ import pytest
 
 from minpfsa import (
     BINARY,
+    Alphabet,
     TestConfig,
+    WindowCounts,
     brute_force_min_states,
     check_determinism,
     count_windows,
@@ -42,6 +44,24 @@ def test_split_without_trace_matches_trace_last_level():
         assert [level for level, _ in trace] == list(range(wc.L + 1))
         assert part.W == tuple(histories(wc))
         assert part.blocks() == trace[-1][1]
+
+
+def test_split_reads_each_history_counts_once(monkeypatch):
+    toks = np.random.default_rng(3).integers(4, size=20000)
+    wc = count_windows(from_tokens(toks, Alphabet(("a", "b", "c", "d"))), 3)
+    n = len(histories(wc))
+    assert n == 64
+    calls = []
+    extension_counts = WindowCounts.extension_counts
+
+    def counted(self, history):
+        calls.append(history)
+        return extension_counts(self, history)
+
+    monkeypatch.setattr(WindowCounts, "extension_counts", counted)
+    cssr_split(wc)
+    # once to list the extendable histories, once to cluster each
+    assert len(calls) <= 2 * n
 
 
 def test_reconstruct_splits_inconsistent_state(fixture_wc):

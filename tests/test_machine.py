@@ -1,5 +1,6 @@
 """Machine construction, determinism checks, sampling and export formats."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -15,18 +16,27 @@ from minpfsa import (
     StatePartition,
     build_machine,
     check_determinism,
+    clique_pipeline,
+    compatibility_graph,
     cond_dist,
     count_windows,
+    cssr,
     from_json,
     from_text,
     from_tokens,
+    gen_fixture,
     histories,
+    parse_sequence,
     partition_from_blocks,
     sample,
+    solve_msdpfsa,
+    solve_msndpfsa,
     split_to_deterministic,
+    succ_table,
     to_dot,
     to_json,
 )
+from tests.conftest import make_instances
 
 OPTIMAL_BLOCKS = [[(0, 0), (1, 0)], [(0, 1)], [(1, 1)]]
 
@@ -277,3 +287,114 @@ def test_dot_renders_dead_end_node():
     assert "q2" in dot
     edges = [line for line in dot.splitlines() if "->" in line]
     assert len(edges) == 1
+
+
+@pytest.mark.parametrize("symbols", [("ab", "c"), ("x1", "y", "zz")])
+@pytest.mark.parametrize("L", [0, 1, 2])
+def test_json_round_trip_multi_character_symbols(symbols, L):
+    rng = np.random.default_rng(17)
+    text = " ".join(rng.choice(symbols, size=300))
+    m = cssr(count_windows(parse_sequence(text, "tokens"), L))
+    out = to_json(m)
+    again = from_json(out)
+    assert again.states == m.states
+    assert to_json(again) == out
+
+
+def test_render_parse_multi_character_symbols():
+    alphabet = Alphabet(("ab", "c"))
+    assert alphabet.render((0, 1, 0)) == "ab c ab"
+    assert alphabet.parse("ab c ab") == (0, 1, 0)
+    assert alphabet.parse(alphabet.render(())) == ()
+    assert BINARY.render((0, 1, 1)) == "011"
+    assert BINARY.parse("011") == (0, 1, 1)
+    with pytest.raises(FormatError):
+        alphabet.parse("ab d")
+    with pytest.raises(FormatError):
+        BINARY.parse("012")
+
+
+# ---------------------------------------------------------------------------
+# machine bytes
+
+
+def _json_sha256(machine):
+    return hashlib.sha256(to_json(machine).encode()).hexdigest()
+
+
+def _pool_inputs():
+    wcs = [count_windows(gen_fixture(), 2)]
+    wcs += [wc for wc, _, _ in make_instances(8, seed=9)]
+    wcs.append(count_windows(parse_sequence("001001011"), 2))
+    return wcs
+
+
+def _pool_machines(wc):
+    """The cssr, ip and clique machines, then the machine of the
+    non-deterministic optimum's partition."""
+    graph = compatibility_graph(wc)
+    return (
+        cssr(wc),
+        build_machine(wc, solve_msdpfsa(graph, succ_table(wc, graph.vertices)).partition),
+        clique_pipeline(wc).machine,
+        build_machine(wc, solve_msndpfsa(graph).partition),
+    )
+
+
+POOL_JSON_SHA256 = [  # (cssr, ip, clique, nd) per input of _pool_inputs
+    ("e13ed8b12d0bd55d729c6dbb3afaf5614dd678860509ea271e09ae5b23cc73fe",
+     "a5847af40f941df7e1db30ea61125c5cd224aece5bbfedeb63acca48c9c7af1e",
+     "a5847af40f941df7e1db30ea61125c5cd224aece5bbfedeb63acca48c9c7af1e",
+     "a5847af40f941df7e1db30ea61125c5cd224aece5bbfedeb63acca48c9c7af1e"),
+    ("ddf345d018c3e72a4b1a323e34cd3e445c4c848411f0c81703ea50aac1f51537",
+     "e4fc4fa18a790530b60831728bf03cb337a115f5d174c409c8a6f097b65d17fd",
+     "e4fc4fa18a790530b60831728bf03cb337a115f5d174c409c8a6f097b65d17fd",
+     "3cf3c8273b4f19555d015f36a2eaa81cd3b68f4d01c124abfcdc7a93337ea5f9"),
+    ("e179625822de0ac19396dcc26a04bb18ca67dab2191e66931bf17ce57f7e295a",
+     "e179625822de0ac19396dcc26a04bb18ca67dab2191e66931bf17ce57f7e295a",
+     "e179625822de0ac19396dcc26a04bb18ca67dab2191e66931bf17ce57f7e295a",
+     "e179625822de0ac19396dcc26a04bb18ca67dab2191e66931bf17ce57f7e295a"),
+    ("ca570ca33c92aaa4e9f227b41fea8e26230b98075956214050df2268c488ebb3",
+     "494524758c9d421fd3303e146c601a908f40113bbdadbd72f9a3a84aaf888f7d",
+     "50e104f9f1480f748e7b3bdc4f03f40f3119ee3d80756eb78c8b90ce6855b6f1",
+     "efbd29d9e782758e99d511fee2d22ec1726b3511c6281ce0cacabb71b1752ba4"),
+    ("cb3b7f57f14b2cc712b31d31be8624dd0e3cb4d1693080fce9b378baf2669e94",
+     "d128ecc449e47e27539ea9293d0b7562abdfa83d6a7dfeb5cdc05560aa0bfb07",
+     "d128ecc449e47e27539ea9293d0b7562abdfa83d6a7dfeb5cdc05560aa0bfb07",
+     "3a16466adcf0ae65d58d8d844c970fc43412729e7e032414190f7252e2c9fa2b"),
+    ("79ef30f852e8900449055c3d6beb508e07284f20517a888fa70daaae70221fc3",
+     "a6db6a7cb4bf51ca544a4671eb5b6bc05baee770a3c913684645887ab4f4ec0a",
+     "a6db6a7cb4bf51ca544a4671eb5b6bc05baee770a3c913684645887ab4f4ec0a",
+     "64154acfafa954659cf25248e94feb08a7347c5c17e666a7500a4c009bcb2313"),
+    ("e16392a91717c56b5d31e59c62dd39b7f65600158597528f8e7dbbb0dd364cbf",
+     "e16392a91717c56b5d31e59c62dd39b7f65600158597528f8e7dbbb0dd364cbf",
+     "e16392a91717c56b5d31e59c62dd39b7f65600158597528f8e7dbbb0dd364cbf",
+     "5ab95969b065f6ee1db5030171694d9420109d736f067b8c16934f9b3f847bf4"),
+    ("f84fb66f85e555295f41d5003c91298f3b554f742ef542a09dfe97c1574a5913",
+     "f84fb66f85e555295f41d5003c91298f3b554f742ef542a09dfe97c1574a5913",
+     "f84fb66f85e555295f41d5003c91298f3b554f742ef542a09dfe97c1574a5913",
+     "f84fb66f85e555295f41d5003c91298f3b554f742ef542a09dfe97c1574a5913"),
+    ("2692841cdf47a3cf7fdd08974322725c8a6d61ff2cd8bb0b92dfdd810f423fad",
+     "2692841cdf47a3cf7fdd08974322725c8a6d61ff2cd8bb0b92dfdd810f423fad",
+     "2692841cdf47a3cf7fdd08974322725c8a6d61ff2cd8bb0b92dfdd810f423fad",
+     "2692841cdf47a3cf7fdd08974322725c8a6d61ff2cd8bb0b92dfdd810f423fad"),
+    ("bd32e93404543a113581c479480ff0ef2ba4dad78659caeb7e3a7809d581c593",
+     "d6f859e53635b6406a70d5524101eae0ca8f831261d4b8da90e863b74f8a4595",
+     "d6f859e53635b6406a70d5524101eae0ca8f831261d4b8da90e863b74f8a4595",
+     "d6f859e53635b6406a70d5524101eae0ca8f831261d4b8da90e863b74f8a4595"),
+]
+
+
+def test_machine_json_bytes_pool():
+    wcs = _pool_inputs()
+    machines = [_pool_machines(wc) for wc in wcs]
+    # the non-deterministic optima give some edges several targets
+    assert any(not nd.is_deterministic() for *_, nd in machines)
+    # in 001001011 at L = 2, 01 -> 1 leads to 11, which has no state, so
+    # that transition is dropped
+    last = wcs[-1]
+    W = histories(last)
+    assert last.count((0, 1, 1)) == 1 and (1, 1) not in W
+    assert succ_table(last, W)[W.index((0, 1))][1] is None
+    got = [tuple(_json_sha256(m) for m in ms) for ms in machines]
+    assert got == POOL_JSON_SHA256

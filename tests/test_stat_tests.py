@@ -1,6 +1,9 @@
 """Two-sample tests and the compatibility graph."""
 
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb
 
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+import minpfsa
 from minpfsa import (
     BINARY,
     Alphabet,
@@ -160,6 +164,17 @@ def test_ks_matches_exhaustive_enumeration(k):
 def test_ks_needs_integer_counts():
     with pytest.raises(ValueError):
         ks_pvalue((1.5, 2), (1, 2))
+
+
+def test_import_does_not_load_scipy_stats():
+    # scipy.stats roughly doubles the import time of the package
+    src = os.path.dirname(os.path.dirname(minpfsa.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, minpfsa; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_degenerate_sample():
