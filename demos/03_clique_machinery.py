@@ -18,10 +18,10 @@ from minpfsa import (
     gen_fixture,
     min_clique_cover,
     reconstruct_deterministic,
-    solve_ip_model,
     succ_table,
     to_lp_text,
 )
+from minpfsa.oracles import solve_ip_model
 
 seq = gen_fixture()
 wc = count_windows(seq, 2)

@@ -8,12 +8,15 @@ next-symbol distribution is the pooled ratio of summed member counts.
 """
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DeadEndError, FormatError
 from .sequences import Alphabet, SymbolSequence, state_dist, succ_table
+
+_SAMPLE_BLOCK = 65536  # uniforms drawn per rng.random call in sample
 
 # ---------------------------------------------------------------------------
 # partitions
@@ -199,29 +202,68 @@ def build_machine(wc, partition):
     return PFSA(wc.alphabet, states, delta, probs, start)
 
 
+def _walk_tables(machine):
+    """Per-state sampling tables: state -> (cdf, symbols, next states).
+
+    A state's symbols are those with an emission probability, ascending;
+    the next state is the lowest-indexed target. The cdf is computed
+    exactly as Generator.choice computes it from p = w / w.sum(), so a
+    uniform u picks the same symbol through bisect_right as through
+    choice. States with no symbol are absent. Raises ValueError for a
+    state with a negative or NaN weight or without positive finite mass."""
+    rows = {}
+    for j, a in sorted(machine.probs):
+        rows.setdefault(j, []).append(a)
+    tables = {}
+    for j, syms in rows.items():
+        w = np.array([machine.probs[(j, a)] for a in syms])
+        total = w.sum()
+        if not (np.all(w >= 0) and 0 < total < np.inf):
+            raise ValueError(
+                "state %d has a negative or NaN probability, or no finite mass" % j
+            )
+        cdf = (w / total).cumsum()
+        cdf /= cdf[-1]
+        nxt = [min(machine.delta[(j, a)]) for a in syms]
+        tables[j] = (cdf.tolist(), syms, nxt)
+    return tables
+
+
 def sample(machine, n, seed):
     """Sample n symbols by walking the machine from the start state.
 
     The next state follows delta; when a (state, symbol) pair has several
     targets the lowest-indexed one is taken. Reaching a state with no
-    outgoing transition raises DeadEndError.
+    outgoing transition raises DeadEndError. A state whose emission weights
+    are negative or NaN raises ValueError before the walk starts, whether
+    or not the walk would reach it.
+
+    Step t takes the t-th double drawn by np.random.default_rng(seed).random
+    and picks the symbol whose cdf interval holds it. That is the draw and
+    the symbol of Generator.choice(len(symbols), p=...) at each step, so a
+    seeded sample is the one a per-step choice gives. The doubles are drawn
+    in blocks of _SAMPLE_BLOCK, which does not change the stream.
     """
     if n <= 0:
         raise ValueError("sample length must be positive")
     rng = np.random.default_rng(seed)
+    tables = _walk_tables(machine)
     state = machine.start_state
-    n_sym = len(machine.alphabet)
     out = np.empty(n, dtype=np.int64)
-    for t in range(n):
-        syms = [a for a in range(n_sym) if (state, a) in machine.probs]
-        if not syms:
-            raise DeadEndError(
-                "state %d has no outgoing transitions after %d symbols" % (state, t)
-            )
-        weights = np.array([machine.probs[(state, a)] for a in syms])
-        a = syms[rng.choice(len(syms), p=weights / weights.sum())]
-        out[t] = a
-        state = min(machine.delta[(state, a)])
+    for start in range(0, n, _SAMPLE_BLOCK):
+        block = []
+        for u in rng.random(min(_SAMPLE_BLOCK, n - start)).tolist():
+            table = tables.get(state)
+            if table is None:
+                raise DeadEndError(
+                    "state %d has no outgoing transitions after %d symbols"
+                    % (state, start + len(block))
+                )
+            cdf, syms, nxt = table
+            i = bisect_right(cdf, u)
+            block.append(syms[i])
+            state = nxt[i]
+        out[start:start + len(block)] = block
     return SymbolSequence(machine.alphabet, out)
 
 

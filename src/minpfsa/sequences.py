@@ -143,8 +143,15 @@ class WindowCounts:
     is not cyclic, so for any history x the extension counts can fall one
     short of counts[x] when x occurs at the very end of the sequence.
 
-    Insertion order of counts is scan order, so iterating the keys of a
-    given length yields histories in order of first appearance.
+    Insertion order of counts is by length, then by first appearance, so
+    iterating the keys of a given length yields histories in order of
+    first appearance.
+
+    Each length-k window gets an int64 code: the rank of its length-(k-1)
+    prefix among the distinct prefixes, times |A|, plus its last symbol.
+    Ranks are below the sequence length n, so codes stay below n·|A|
+    whatever the alphabet size or L; plain base-|A| codes would overflow
+    once |A|^(L+1) exceeds 2^63.
     """
 
     def __init__(self, seq, L):
@@ -159,11 +166,17 @@ class WindowCounts:
         self.L = L
         self.total = len(seq)
         counts = {(): len(seq)}
-        toks = [int(t) for t in seq.tokens]
+        toks = np.asarray(seq.tokens, dtype=np.int64)
+        tok_list = toks.tolist()
+        rank = np.zeros(len(toks), dtype=np.int64)
         for k in range(1, L + 2):
-            for i in range(len(toks) - k + 1):
-                w = tuple(toks[i:i + k])
-                counts[w] = counts.get(w, 0) + 1
+            code = rank[:len(toks) - k + 1] * len(seq.alphabet) + toks[k - 1:]
+            _, first, rank, num = np.unique(
+                code, return_index=True, return_inverse=True, return_counts=True
+            )
+            order = np.argsort(first)
+            for i, c in zip(first[order].tolist(), num[order].tolist()):
+                counts[tuple(tok_list[i:i + k])] = c
         self.counts = counts
 
     def count(self, history):

@@ -20,7 +20,6 @@ from minpfsa import (
     CSV_HEADER,
     TestConfig,
     bron_kerbosch,
-    brute_force_min_states,
     build_ip_model,
     build_machine,
     check_determinism,
@@ -34,13 +33,13 @@ from minpfsa import (
     pvalue,
     run_bench,
     sample,
-    solve_ip_model,
     solve_msdpfsa,
     solve_msndpfsa,
     state_dist,
     succ_table,
     write_csv,
 )
+from minpfsa.oracles import brute_force_min_states, solve_ip_model
 
 TABLE1 = {
     "00": (0.9314, 0.0686),

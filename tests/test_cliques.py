@@ -9,7 +9,6 @@ from minpfsa import (
     BINARY,
     CoverOverflowError,
     bron_kerbosch,
-    brute_force_min_states,
     check_determinism,
     clique_pipeline,
     compatibility_graph,
@@ -21,6 +20,7 @@ from minpfsa import (
     solve_msdpfsa,
     solve_msndpfsa,
 )
+from minpfsa.oracles import brute_force_min_states
 from tests.conftest import make_instances
 
 

@@ -8,7 +8,6 @@ from minpfsa import (
     Alphabet,
     TestConfig,
     WindowCounts,
-    brute_force_min_states,
     check_determinism,
     count_windows,
     cssr,
@@ -18,6 +17,7 @@ from minpfsa import (
     from_tokens,
     histories,
 )
+from minpfsa.oracles import brute_force_min_states
 from tests.conftest import make_instances
 
 

@@ -8,18 +8,17 @@ import pytest
 from minpfsa import (
     BINARY,
     TooLargeForOracleError,
-    brute_force_min_states,
     build_ip_model,
     compatibility_graph,
     count_windows,
     from_text,
     greedy_independent_set,
-    solve_ip_model,
     solve_msdpfsa,
     solve_msndpfsa,
     succ_table,
     to_lp_text,
 )
+from minpfsa.oracles import brute_force_min_states, solve_ip_model
 from tests.conftest import make_instances
 
 FIXTURE_SUCC = ((0, 1), (3, 2), (3, None), (0, 1))

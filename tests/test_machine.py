@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from minpfsa import (
     histories,
     parse_sequence,
     partition_from_blocks,
+    random_machine,
     sample,
     solve_msdpfsa,
     solve_msndpfsa,
@@ -36,6 +38,7 @@ from minpfsa import (
     to_dot,
     to_json,
 )
+from minpfsa import machine as machine_module
 from tests.conftest import make_instances
 
 OPTIMAL_BLOCKS = [[(0, 0), (1, 0)], [(0, 1)], [(1, 1)]]
@@ -205,8 +208,54 @@ def test_sample_single_state_machine():
 
 def test_sample_dead_end():
     m = PFSA(BINARY, ((), ()), {(0, 0): frozenset([1])}, {(0, 0): 1.0})
-    with pytest.raises(DeadEndError):
+    with pytest.raises(DeadEndError, match="^state 1 has no outgoing transitions after 1 symbols$"):
         sample(m, 10, seed=0)
+
+
+def test_sample_dead_end_message_counts_symbols():
+    # state 0 repeats 0 until a rare 1 leads to the dead state 1; with this
+    # seed the first 1 comes after the first block of uniforms
+    p1 = 1e-5
+    m = PFSA(BINARY, ((), ()), {(0, 0): frozenset([0]), (0, 1): frozenset([1])},
+             {(0, 0): 1 - p1, (0, 1): p1})
+    u = np.random.default_rng(4).random(300000)
+    t = int(np.argmax(u >= 1 - p1))
+    assert machine_module._SAMPLE_BLOCK < t < 300000
+    with pytest.raises(DeadEndError, match=r"^state 1 has no outgoing transitions "
+                       r"after %d symbols$" % (t + 1)):
+        sample(m, 300000, seed=4)
+
+
+@pytest.mark.parametrize("bad", [-0.5, float("nan")])
+def test_sample_rejects_bad_weights_before_walking(bad):
+    # state 1 is never reached, yet its weights are checked
+    m = PFSA(BINARY, ((), ()),
+             {(0, 0): frozenset([0]), (1, 0): frozenset([0]), (1, 1): frozenset([1])},
+             {(0, 0): 1.0, (1, 0): 0.5, (1, 1): bad})
+    with pytest.raises(ValueError, match="state 1"):
+        sample(m, 5, seed=0)
+
+
+def test_sample_does_not_depend_on_block_size(monkeypatch, fixture_wc):
+    m = build_machine(fixture_wc, optimal_partition(fixture_wc))
+    whole = sample(m, 5000, seed=9).tokens
+    monkeypatch.setattr(machine_module, "_SAMPLE_BLOCK", 7)
+    assert np.array_equal(sample(m, 5000, seed=9).tokens, whole)
+
+
+def test_sample_memory_is_bounded_by_the_block():
+    # the int64 output plus one block of draws, never a Python list of n items
+    m = PFSA(BINARY, ((),), {(0, 0): frozenset([0]), (0, 1): frozenset([0])},
+             {(0, 0): 0.5, (0, 1): 0.5})
+    n = 400000
+    tracemalloc.start()
+    try:
+        out = sample(m, n, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(out) == n
+    assert peak < out.tokens.nbytes + 4 * 2**20
 
 
 def test_sample_is_seed_deterministic(fixture_wc):
@@ -235,6 +284,82 @@ def test_sample_recovers_conditional(fixture_wc):
     wc2 = count_windows(seq, 2)
     got = cond_dist(wc2, (0, 1)).probs
     assert np.allclose(got, (0.5789, 0.4211), atol=0.03)
+
+
+def _hand_machines():
+    """Sources that cssr does not build: edges with several targets, a
+    one-symbol state, unnormalized weights and a zero weight."""
+    abc = Alphabet(("a", "b", "c"))
+    three = PFSA(
+        abc, ((), (), ()),
+        {(0, 0): frozenset([2, 1]), (0, 2): frozenset([0]), (1, 1): frozenset([2]),
+         (2, 0): frozenset([1]), (2, 1): frozenset([0]), (2, 2): frozenset([0, 2])},
+        {(0, 0): 2.0, (0, 2): 0.5, (1, 1): 1.0, (2, 0): 0.3, (2, 1): 0.0, (2, 2): 0.9},
+        start_state=2,
+    )
+    skewed = PFSA(
+        BINARY, ((), ()),
+        {(0, 0): frozenset([1, 0]), (0, 1): frozenset([1]),
+         (1, 0): frozenset([0, 1]), (1, 1): frozenset([1])},
+        {(0, 0): 1e-3, (0, 1): 7.0, (1, 0): 0.1, (1, 1): 0.1},
+        start_state=1,
+    )
+    rng = np.random.default_rng(2024)
+    delta, probs = {}, {}
+    for j in range(4):
+        width = 1 if j == 3 else int(rng.integers(2, 6))
+        syms = [0] if j == 3 else sorted(rng.choice(5, size=width, replace=False).tolist())
+        for a in syms:
+            targets = rng.choice(4, size=int(rng.integers(1, 4)), replace=False)
+            delta[(j, a)] = frozenset(targets.tolist())
+            probs[(j, a)] = float(rng.uniform(0.1, 5.0))
+    five = PFSA(Alphabet(tuple("vwxyz")), ((),) * 4, delta, probs)
+    return [three, skewed, five]
+
+
+def _sample_pool_machines():
+    """cssr machines of the fixture and of make_instances(8, seed=9), three
+    bench.random_machine sources and the hand-built machines."""
+    wcs = [count_windows(gen_fixture(), 2)] + [wc for wc, _, _ in make_instances(8, seed=9)]
+    machines = [cssr(wc) for wc in wcs]
+    for s, n_states, k in ((1, 3, 2), (2, 5, 4), (3, 8, 3)):
+        alphabet = Alphabet(tuple(str(i) for i in range(k)))
+        machines.append(random_machine(np.random.default_rng(s), n_states, alphabet))
+    return machines + _hand_machines()
+
+
+def _sample_sha256(machine):
+    """One digest over the samples of every (seed, length) pair."""
+    h = hashlib.sha256()
+    for seed in (0, 7, [3, 1]):
+        for n in (1, 2000, 150000):
+            h.update(sample(machine, n, seed).tokens.astype("<i8").tobytes())
+    return h.hexdigest()
+
+
+SAMPLE_SHA256 = [  # per machine of _sample_pool_machines, from the per-step choice sampler
+    "de53c0482f62bcf1d1d81595580e664ae91d7e18c1293e35b2be41f81739d93a",
+    "02903fedb63a3d823ce90d25a422642541036eb8898ed358b8d14652c4dfb4df",
+    "504ee6d2e71dceaa17785922d43f346a494521259f58047a1545f68ae251aa4d",
+    "17feb5a7d3d4502e296d7e8830304cff2097d24d4d3bb15690fbbc6713768cf1",
+    "a762e64e3c830b530511f09f47e0ed48c68a0ef75441de37910ee6fd254523a9",
+    "25b7f6bc92f828fbc8b5f3b8e512c234093ffe3c3c143178e3611aeaeb8550d0",
+    "428244a09d8cba35f538db138e36b98e52d466f321514d7ac18fc4cede12c211",
+    "af52d51b10b726257f1ae18229a25827ed65a63d83c889ad1a6dc37f8eaf43ec",
+    "419c83fdd34d51e0caaf285f01385f5591efc742b6c02b9f5b297910893f9e8f",
+    "2feeebaaa65d7dd7dbcce7e8a60a178b41e9e6907a92ee227172475599f298db",
+    "293be8f96df820c5ececa5aefcf836c1a917e54f98b03e60d9e781d5760e9d5e",
+    "8117333865bd0bb5eafd4941f80912481f00019b1497465b830c2889eec3efee",
+    "15d3a8b2eab9c736f8e32ae82948215efb1ef7108d0c38a85f728d3dd6860f37",
+    "0bcff79c9f75f717210dce056a09c09856a53b701e33880c45d0d91a7327fffc",
+    "544c8a3cdbfed3ffb6c36ff53b73816ed4f8bf3caf3dec5139d3d3444c1fb82a",
+]
+
+
+def test_sample_bytes_pool():
+    machines = _sample_pool_machines()
+    assert any(len(targets) > 1 for m in machines for targets in m.delta.values())
+    assert [_sample_sha256(m) for m in machines] == SAMPLE_SHA256
 
 
 # ---------------------------------------------------------------------------

@@ -155,6 +155,48 @@ def test_count_windows_matches_rescan_oracle(tokens, L):
             assert sum(expect.values()) == len(tokens) - k + 1
 
 
+def tuple_slicing_counts(tokens, L):
+    """Test-local oracle: the tuple-slicing counter that WindowCounts
+    replaced, with its insertion order (by length, then first appearance)."""
+    counts = {}
+    for k in range(L + 2):
+        counts.update(naive_window_counts(tokens, k))
+    return counts
+
+
+# 64 tokens, each once, then s0 s1*10 s16 s1*10: at L = 10 the windows
+# s0 s1*10 and s16 s1*10 get equal plain base-64 int64 codes (64^10 = 2^60)
+WIDE_TOKENS = " ".join(["s%d" % i for i in range(64)] + ["s0"] + ["s1"] * 10
+                       + ["s16"] + ["s1"] * 10)
+
+
+def test_count_windows_matches_naive():
+    rng = np.random.default_rng(31)
+    wide = parse_sequence(WIDE_TOKENS, "tokens")
+    cases = [(wide, 10)]
+    for k in range(1, 6):
+        for L in range(6):
+            for n in (L + 1, 40, 400):
+                toks = rng.integers(k, size=n)
+                toks[: n // 4] = toks[0]
+                chars = "".join("abcde"[t] for t in toks)
+                words = " ".join("w%d" % t for t in toks)
+                cases.append((parse_sequence(chars, "chars"), L))
+                cases.append((parse_sequence(words, "tokens"), L))
+    for seq, L in cases:
+        wc = count_windows(seq, L)
+        expect = tuple_slicing_counts(seq.tokens.tolist(), L)
+        assert list(wc.counts.items()) == list(expect.items())
+
+    counts = count_windows(wide, 10).counts
+    assert len(counts) == 788
+    # plain base-64 int64 codes of the length-11 windows merge two of them
+    plain = np.zeros(len(wide) - 10, dtype=np.int64)
+    for j in range(11):
+        plain = plain * 64 + wide.tokens[j:len(wide) - 10 + j]
+    assert len(np.unique(plain)) == sum(len(h) == 11 for h in counts) - 1
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(0, 1), min_size=5, max_size=120))
 def test_continuation_counts_within_boundary_slack(tokens):
