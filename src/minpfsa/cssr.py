@@ -18,7 +18,7 @@ deterministic.
 
 from .machine import StatePartition, build_machine, split_to_deterministic
 from .sequences import histories
-from .stat_tests import TestConfig, pvalue
+from .stat_tests import TestConfig, count_list, list_pvalue
 
 
 def _cluster_level(wc, level, cfg):
@@ -26,17 +26,18 @@ def _cluster_level(wc, level, cfg):
     StatePartition, numbering states in the order they open. Each state
     keeps the running sum of its members' continuation counts."""
     W = tuple(histories(wc, level))
+    test = list_pvalue(cfg)
     pooled = []
     assign = []
     for h in W:
-        ext = wc.extension_counts(h)
+        ext = count_list(wc.extension_counts(h))
         best_p, best_state = -1.0, None
         for s, counts in enumerate(pooled):
-            p = pvalue(ext, counts, cfg)
+            p = test(ext, counts)
             if p > best_p:
                 best_p, best_state = p, s
         if best_state is not None and best_p > cfg.alpha:
-            pooled[best_state] += ext
+            pooled[best_state] = [x + y for x, y in zip(pooled[best_state], ext)]
         else:
             best_state = len(pooled)
             pooled.append(ext)

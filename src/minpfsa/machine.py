@@ -298,7 +298,12 @@ def to_json(machine):
 
 
 def from_json(text):
-    """Parse the JSON interchange format back into a PFSA."""
+    """Parse the JSON interchange format back into a PFSA.
+
+    An optional ``"start"`` field names the start state by its id; without
+    it the first state is the start. ``to_json`` does not write the field,
+    so a machine read back from its output starts in its first state.
+    """
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -325,10 +330,15 @@ def from_json(text):
                     % (tr["from"], tr["symbol"])
                 )
             probs[(j, a)] = tr["prob"]
+        start = 0
+        if "start" in obj:
+            if obj["start"] not in id_map:
+                raise FormatError("start names no state: %r" % (obj["start"],))
+            start = id_map[obj["start"]]
     except (KeyError, TypeError, AttributeError) as exc:
         raise FormatError("missing or malformed field: %s" % exc)
     delta = {k: frozenset(v) for k, v in delta.items()}
-    return PFSA(alphabet, states, delta, probs)
+    return PFSA(alphabet, states, delta, probs, start)
 
 
 def to_dot(machine):

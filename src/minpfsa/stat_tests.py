@@ -18,9 +18,24 @@ the two count vectors and drop columns whose combined count is zero.
   distribution assumes continuous data and is wrong on a few tied
   categories at every sample size.
 
-Identical normalized count vectors always give p = 1.0.
+Identical normalized count vectors always give p = 1.0. A negative, NaN
+or infinite count raises ValueError in every test.
+
+The Pearson and Freeman-Tukey statistics are computed by one plain-float
+routine, which the compatibility graph and cssr call once per comparison
+on count lists they convert once per history or state (``count_list``,
+``list_pvalue``). It gives the p-value that the whole-array numpy formula
+gives, bit for bit, on whole-number counts below 2**53: there every row,
+column and grand total is exact in any order. Each expected count is
+row total * column total / grand total. The Freeman-Tukey cell is
+4 * (d * d) with d = sqrt(O) - sqrt(E), the Pearson cell d * d / E with
+d = O - E. Each column's two cells are added first, then the columns are
+summed as ``ndarray.sum`` sums them: from left to right below 8 kept
+columns, and by numpy itself from 8 on, where it keeps eight partial
+sums. The test suite holds the numpy formula as the reference.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,48 +67,94 @@ class TestConfig:
             raise ValueError("alpha must be in (0, 1)")
 
 
-def _clean_table(counts_a, counts_b):
-    a = np.asarray(counts_a, dtype=float)
-    b = np.asarray(counts_b, dtype=float)
-    if a.shape != b.shape or a.ndim != 1:
+def count_list(counts):
+    """A count vector as the list of floats that every test works on.
+    Raises ValueError unless counts is 1-d."""
+    a = np.asarray(counts, dtype=float)
+    if a.ndim != 1:
         raise ValueError("count vectors must be 1-d and of equal length")
-    if a.sum() == 0 or b.sum() == 0:
+    return a.tolist()
+
+
+def _clean_table(a, b):
+    """The kept columns of the 2 x k table of two count lists, and the two
+    sample sizes. Raises ValueError on lists of unequal length or on a
+    negative, NaN or infinite count, and DegenerateSampleError when a
+    sample has zero total count."""
+    if len(a) != len(b):
+        raise ValueError("count vectors must be 1-d and of equal length")
+    kept_a, kept_b = [], []
+    na = nb = 0.0
+    for x, y in zip(a, b):
+        if not (0.0 <= x < math.inf and 0.0 <= y < math.inf):
+            raise ValueError("counts must be finite and non-negative")
+        if x + y > 0.0:
+            kept_a.append(x)
+            kept_b.append(y)
+            na += x
+            nb += y
+    if na == 0.0 or nb == 0.0:
         raise DegenerateSampleError("a sample with zero total count has no distribution")
-    keep = (a + b) > 0
-    return a[keep], b[keep]
+    return kept_a, kept_b, na, nb
 
 
-def _identical_proportions(a, b):
-    return np.allclose(a / a.sum(), b / b.sum(), rtol=0.0, atol=1e-12)
+def _identical_proportions(a, b, na, nb):
+    for x, y in zip(a, b):
+        if abs(x / na - y / nb) > 1e-12:
+            return False
+    return True
 
 
-def _chi2_family_pvalue(counts_a, counts_b, terms):
-    """Upper-tail chi-squared p-value of the statistic summing
-    terms(observed, expected) over the cells of the 2 x k table."""
-    a, b = _clean_table(counts_a, counts_b)
-    if len(a) < 2 or _identical_proportions(a, b):
+def _chi2_family_pvalue(a, b, freeman_tukey):
+    """Upper-tail chi-squared p-value of the Freeman-Tukey or the Pearson
+    statistic of two count lists; see the module docstring for the order
+    of the arithmetic."""
+    a, b, na, nb = _clean_table(a, b)
+    if len(a) < 2 or _identical_proportions(a, b, na, nb):
         return 1.0
-    table = np.array([a, b])
-    expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / table.sum()
-    cells = terms(table, expected)
-    # pair the two rows per column before summing so swapping the samples
+    n = na + nb
+    # each column's two cells are added first, so swapping the samples
     # gives a bitwise-identical statistic
-    stat = (cells[0] + cells[1]).sum()
+    columns = []
+    for x, y in zip(a, b):
+        t = x + y
+        ea = na * t / n
+        eb = nb * t / n
+        if freeman_tukey:
+            da = math.sqrt(x) - math.sqrt(ea)
+            db = math.sqrt(y) - math.sqrt(eb)
+            columns.append(4.0 * (da * da) + 4.0 * (db * db))
+        else:
+            da = x - ea
+            db = y - eb
+            columns.append(da * da / ea + db * db / eb)
+    if len(columns) < 8:
+        stat = 0.0
+        for c in columns:
+            stat += c
+    else:
+        stat = np.sum(columns)  # numpy's own order: eight partial sums
     return float(chdtrc(len(a) - 1, stat))
+
+
+def _chi2_lists(a, b):
+    return _chi2_family_pvalue(a, b, False)
+
+
+def _ft_lists(a, b):
+    return _chi2_family_pvalue(a, b, True)
 
 
 def chi2_pvalue(counts_a, counts_b):
     """Pearson chi-squared two-sample homogeneity test, no continuity
     correction. Returns the upper-tail p-value."""
-    return _chi2_family_pvalue(counts_a, counts_b, lambda o, e: (o - e) ** 2 / e)
+    return _chi2_lists(count_list(counts_a), count_list(counts_b))
 
 
 def ft_pvalue(counts_a, counts_b):
     """Freeman-Tukey two-sample homogeneity test on the same table and
     degrees of freedom as ``chi2_pvalue``."""
-    return _chi2_family_pvalue(
-        counts_a, counts_b, lambda o, e: 4.0 * (np.sqrt(o) - np.sqrt(e)) ** 2
-    )
+    return _ft_lists(count_list(counts_a), count_list(counts_b))
 
 
 # hypergeometric states of the KS recursion with probability below this
@@ -127,9 +188,14 @@ def ks_pvalue(counts_a, counts_b):
     identical result. Identical proportions give exactly 1.0. Counts must
     be whole numbers.
     """
-    a, b = _clean_table(counts_a, counts_b)
-    if _identical_proportions(a, b):
+    return _ks_lists(count_list(counts_a), count_list(counts_b))
+
+
+def _ks_lists(a, b):
+    a, b, na, nb = _clean_table(a, b)
+    if _identical_proportions(a, b, na, nb):
         return 1.0
+    a, b = np.array(a), np.array(b)
     if np.any(a != np.rint(a)) or np.any(b != np.rint(b)):
         raise ValueError("ks_pvalue needs integer counts")
     a, b = a.astype(np.int64), b.astype(np.int64)
@@ -175,12 +241,18 @@ def ks_pvalue(counts_a, counts_b):
     return float(min(1.0, 0.5 * (leaves[0] + leaves[1])))
 
 
-_DISPATCH = {"chi2": chi2_pvalue, "freeman-tukey": ft_pvalue, "ks": ks_pvalue}
+_ON_LISTS = {"chi2": _chi2_lists, "freeman-tukey": _ft_lists, "ks": _ks_lists}
+
+
+def list_pvalue(config):
+    """The configured test as a function of two ``count_list`` results.
+    Callers that compare one count vector many times convert it once."""
+    return _ON_LISTS[config.test]
 
 
 def pvalue(counts_a, counts_b, config):
     """Run the configured two-sample test."""
-    return _DISPATCH[config.test](counts_a, counts_b)
+    return list_pvalue(config)(count_list(counts_a), count_list(counts_b))
 
 
 @dataclass(frozen=True)
@@ -210,12 +282,12 @@ def compatibility_graph(wc, config=None):
     cfg = config or TestConfig()
     verts = tuple(histories(wc))
     n = len(verts)
-    ext = [wc.extension_counts(v) for v in verts]
+    test = list_pvalue(cfg)
+    ext = [count_list(wc.extension_counts(v)) for v in verts]
     pvals = np.ones((n, n))
     for i in range(n):
         for l in range(i + 1, n):
-            p = pvalue(ext[i], ext[l], cfg)
-            pvals[i, l] = pvals[l, i] = p
+            pvals[i, l] = pvals[l, i] = test(ext[i], ext[l])
     mu = pvals > cfg.alpha
     np.fill_diagonal(mu, True)
     return CompatibilityGraph(verts, pvals, mu, cfg)

@@ -397,6 +397,31 @@ def test_from_json_rejects_unknown_symbol(fixture_wc):
         from_json(json.dumps(obj))
 
 
+def test_from_json_reads_start_state():
+    m = PFSA(
+        BINARY, ((), (), (), ()),
+        {(j, a): frozenset([(j + a + 1) % 4]) for j in range(4) for a in range(2)},
+        {(j, a): 0.5 for j in range(4) for a in range(2)},
+        start_state=3,
+    )
+    obj = json.loads(to_json(m))
+    assert "start" not in obj
+    assert from_json(json.dumps(obj)).start_state == 0
+    obj["start"] = 4
+    again = from_json(json.dumps(obj))
+    assert again.start_state == 3
+    assert again == m
+
+
+@pytest.mark.parametrize("start", [0, 5, "1", None])
+def test_from_json_rejects_unknown_start(start):
+    m = PFSA(BINARY, ((), ()), {(0, 0): frozenset([1])}, {(0, 0): 1.0})
+    obj = json.loads(to_json(m))
+    obj["start"] = start
+    with pytest.raises(FormatError, match="start"):
+        from_json(json.dumps(obj))
+
+
 def test_dot_has_five_nonzero_edges(fixture_wc):
     m = build_machine(fixture_wc, optimal_partition(fixture_wc))
     dot = to_dot(m)

@@ -1,5 +1,6 @@
 """Two-sample tests and the compatibility graph."""
 
+import hashlib
 import itertools
 import os
 import subprocess
@@ -11,10 +12,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
+from scipy.special import chdtrc
 
 import minpfsa
 from minpfsa import (
     BINARY,
+    TESTS,
     Alphabet,
     DegenerateSampleError,
     TestConfig,
@@ -26,6 +29,7 @@ from minpfsa import (
     ks_pvalue,
     pvalue,
 )
+from tests.conftest import make_instances
 
 
 def perm_pvalue(counts_a, counts_b, statistic, shuffles, rng):
@@ -161,6 +165,79 @@ def test_ks_matches_exhaustive_enumeration(k):
         checked += 1
 
 
+def numpy_chi2_family(counts_a, counts_b, freeman_tukey):
+    """The Pearson or Freeman-Tukey p-value computed with whole-array numpy
+    operations: the reference that the plain-float kernel must match bit
+    for bit."""
+    a = np.asarray(counts_a, dtype=float)
+    b = np.asarray(counts_b, dtype=float)
+    keep = (a + b) > 0
+    a, b = a[keep], b[keep]
+    if len(a) < 2 or np.allclose(a / a.sum(), b / b.sum(), rtol=0.0, atol=1e-12):
+        return 1.0
+    table = np.array([a, b])
+    expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / table.sum()
+    if freeman_tukey:
+        cells = 4.0 * (np.sqrt(table) - np.sqrt(expected)) ** 2
+    else:
+        cells = (table - expected) ** 2 / expected
+    return float(chdtrc(len(a) - 1, (cells[0] + cells[1]).sum()))
+
+
+def test_chi2_family_matches_numpy_formula():
+    # numpy sums 8 or more terms in eight partial sums, so tables with 8+
+    # kept columns pin that order; whole counts keep every total exact
+    rng = np.random.default_rng(8)
+    proportional = wide = 0
+    for _ in range(1500):
+        k = int(rng.integers(1, 11))
+        top = int(10 ** rng.uniform(0, 6))
+        ca = rng.integers(0, top + 1, size=k)
+        cb = rng.integers(0, top + 1, size=k)
+        gone = rng.random(k) < 0.15  # columns with no count in either sample
+        ca[gone] = cb[gone] = 0
+        if rng.random() < 0.1:
+            cb = ca * int(rng.integers(1, 4))
+        if ca.sum() == 0 or cb.sum() == 0:
+            continue
+        wide += ((ca + cb) > 0).sum() >= 8
+        for test, freeman_tukey in ((chi2_pvalue, False), (ft_pvalue, True)):
+            for x, y in ((ca, cb), (cb, ca)):
+                expect = numpy_chi2_family(x, y, freeman_tukey)
+                assert test(x, y) == expect, (test.__name__, x, y)
+                assert test(x.tolist(), tuple(y)) == expect
+        if np.array_equal(cb * ca.sum(), ca * cb.sum()):
+            proportional += 1
+            assert chi2_pvalue(ca, cb) == ft_pvalue(ca, cb) == 1.0
+    assert proportional >= 50 and wide >= 100, (proportional, wide)
+
+
+@pytest.mark.parametrize("test", [chi2_pvalue, ft_pvalue, ks_pvalue])
+def test_negative_count_rejected(test):
+    with pytest.raises(ValueError, match="non-negative"):
+        test((-1, 5), (3, 3))
+
+
+@pytest.mark.parametrize("test", [chi2_pvalue, ft_pvalue, ks_pvalue])
+def test_nan_count_rejected(test):
+    # a NaN column is not a zero column to be dropped
+    with pytest.raises(ValueError, match="finite"):
+        test((np.nan, 5), (0, 3))
+
+
+@pytest.mark.parametrize("test", [chi2_pvalue, ft_pvalue, ks_pvalue])
+def test_infinite_count_rejected(test):
+    with pytest.raises(ValueError, match="finite"):
+        test((4, 5), (3, np.inf))
+
+
+def test_unequal_lengths_rejected():
+    with pytest.raises(ValueError):
+        chi2_pvalue((1, 2, 3), (1, 2))
+    with pytest.raises(ValueError):
+        ft_pvalue([[1, 2]], [[3, 4]])
+
+
 def test_ks_needs_integer_counts():
     with pytest.raises(ValueError):
         ks_pvalue((1.5, 2), (1, 2))
@@ -281,3 +358,29 @@ def test_edges_monotone_in_alpha():
                      for a in alphas]
         for tighter, looser in zip(edge_sets[1:], edge_sets[:-1]):
             assert tighter <= looser
+
+
+# test: (pvalues, mu) over the fixture and make_instances(8, seed=9), as the
+# numpy formula computed them
+GRAPH_SHA256 = {
+    "freeman-tukey": (
+        "68c7194be2529597a41f8cec3dc19df9f71b91e28825e3fa2c5905bf95fe3fde",
+        "09e8e44c6ef06f87d0eb8176302520b4a819248203e14197c56e5b3c0c8de038"),
+    "chi2": (
+        "f03ecc327923a2d972dcc6e874dc26a1dd7bf711eff34881c898fb86f053ae93",
+        "381c9342e7ff755cfb7c10acda39f9660dbcfe540bfc327cdf8cf297ff4b2af3"),
+    "ks": (
+        "068a974880eaa000a05bed9f8947b15b2af5e913604963bd083cefb3d797da3f",
+        "b486a1751eb89a91ad4ba5389e9a28c40258983c4c7565be92093da5dcaffa88"),
+}
+
+
+@pytest.mark.parametrize("test", TESTS)
+def test_graph_bytes(fixture_wc, test):
+    wcs = [fixture_wc] + [wc for wc, _, _ in make_instances(8, seed=9)]
+    pvalues, mu = hashlib.sha256(), hashlib.sha256()
+    for wc in wcs:
+        graph = compatibility_graph(wc, TestConfig(test=test))
+        pvalues.update(graph.pvalues.tobytes())
+        mu.update(graph.mu.tobytes())
+    assert (pvalues.hexdigest(), mu.hexdigest()) == GRAPH_SHA256[test]
