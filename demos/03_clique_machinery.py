@@ -21,7 +21,7 @@ from minpfsa import (
     succ_table,
     to_lp_text,
 )
-from minpfsa.oracles import solve_ip_model
+from minpfsa.oracles import lp_rows, solve_ip_model
 
 seq = gen_fixture()
 wc = count_windows(seq, 2)
@@ -53,12 +53,12 @@ for i, exact_cover in enumerate(covers):
 # because 11 and 10 disagree on where symbol 0 leads
 
 model = build_ip_model(graph, succ_table(wc, graph.vertices))
+lp = to_lp_text(model)
 counts = model.variable_counts()
 print("\ninteger program: %d x, %d y, %d p variables, %d constraints" % (
-    counts["x"], counts["y"], counts["p"], sum(1 for _ in model.constraints())))
+    counts["x"], counts["y"], counts["p"], len(lp_rows(lp))))
 print("exhaustive solve of the program: %d states" % solve_ip_model(model))
 
-lp = to_lp_text(model)
 print("\nfirst lines of the LP text:")
 for line in lp.splitlines()[:8]:
     print("  " + line)

@@ -135,7 +135,7 @@ def enumerate_exact_covers(graph, optimum, cap=10000):
                 covers.append(tuple(tuple(b) for b in blocks))
                 if len(covers) > cap:
                     raise CoverOverflowError(
-                        "more than %d exact covers; raise the cap to enumerate them" % cap
+                        "more than %d exact covers of %d cliques" % (cap, optimum)
                     )
             return
         if len(blocks) + (n - v) < optimum:

@@ -15,10 +15,10 @@ histories can never share a state. Among minimum-state assignments the
 lexicographically least one is returned.
 
 ``build_ip_model`` states the same problem as an explicit 0/1 integer
-program. Its ``constraints`` generate the rows lazily, with the variable
-names of the LP file: ``to_lp_text`` formats each row, and the test oracle
-``oracles.solve_ip_model`` solves the model by exhaustive search over the
-same rows, as an independence check on the branch-and-bound.
+program, and ``to_lp_text`` writes it as LP text. That text is the one
+definition of the rows: the test oracle ``oracles.solve_ip_model`` parses
+it back (``oracles.lp_rows``) and solves it by exhaustive search, which
+checks both the branch-and-bound and the file that ``infer --lp`` writes.
 """
 
 import time
@@ -175,9 +175,10 @@ class IPModel:
     Variables: x[i][j] assigns history i to state j, y[a][j][k] marks a
     transition from state j to state k on symbol a, p[j] marks state j as
     used. z[a][i] are constants: the observed shift-append successor of
-    history i under a, or None. The objective is the sum of p. In the LP
-    text and in the rows of ``constraints`` the variables are named
-    ``x_i_j``, ``y_a_j_k`` and ``p_j``.
+    history i under a, or None. The objective is the sum of p. The rows
+    are defined by the LP text that ``to_lp_text`` writes: the variables
+    are named ``x_i_j``, ``y_a_j_k`` and ``p_j``, the rows ``assign_i``,
+    ``trans_a_i_j_k``, ``det_j_a``, ``compat_i_l_j`` and ``open_j``.
 
     Constraint families (n histories, m symbols):
       assignment      for each i:            sum_j x[i][j] = 1
@@ -208,48 +209,6 @@ class IPModel:
             "p": n,
         }
 
-    def _names(self):
-        """Variable name tables x[i][j], y[a][j][k] (empty unless
-        deterministic) and p[j]."""
-        n, r = self.n, range(self.n)
-        x = [["x_%d_%d" % (i, j) for j in r] for i in r]
-        m = self.n_symbols if self.deterministic else 0
-        y = [[["y_%d_%d_%d" % (a, j, k) for k in r] for j in r] for a in range(m)]
-        return x, y, ["p_%d" % j for j in range(n)]
-
-    def constraints(self):
-        """Generate every constraint, in LP order, as (name, terms, sense,
-        rhs). terms is a tuple of (coef, variable name) pairs; sense is
-        "=" or "<="."""
-        n, m = self.n, self.n_symbols
-        x, y, p = self._names()
-        for i in range(n):
-            yield "assign_%d" % i, tuple((1, v) for v in x[i]), "=", 1
-        if self.deterministic:
-            for a in range(m):
-                for i, l in enumerate(self.z[a]):
-                    if l is None:
-                        continue
-                    for j in range(n):
-                        for k in range(n):
-                            if i == l and j == k:
-                                terms = ((2, x[i][j]), (-1, y[a][j][k]))
-                            else:
-                                terms = ((1, x[i][j]), (1, x[l][k]), (-1, y[a][j][k]))
-                            yield "trans_%d_%d_%d_%d" % (a, i, j, k), terms, "<=", 1
-            for j in range(n):
-                for a in range(m):
-                    yield "det_%d_%d" % (j, a), tuple((1, v) for v in y[a][j]), "<=", 1
-        for i in range(n):
-            for l in range(i + 1, n):
-                if not self.mu[i][l]:
-                    for j in range(n):
-                        terms = ((1, x[i][j]), (1, x[l][j]))
-                        yield "compat_%d_%d_%d" % (i, l, j), terms, "<=", 1
-        for j in range(n):
-            terms = tuple((1, x[i][j]) for i in range(n)) + ((-n, p[j]),)
-            yield "open_%d" % j, terms, "<=", 0
-
 
 def build_ip_model(graph, succ, deterministic=True):
     """Materialize the minimum-state problem for the given compatibility
@@ -263,27 +222,42 @@ def build_ip_model(graph, succ, deterministic=True):
     return IPModel(n, m, tuple(map(tuple, mu.tolist())), z, deterministic)
 
 
-def _lp_expr(terms):
-    """LP text of a linear expression: "2 x_0_0 - y_0_0_0"."""
-    tokens = []
-    for coef, var in terms:
-        if tokens or coef < 0:
-            tokens.append("-" if coef < 0 else "+")
-        if abs(coef) != 1:
-            tokens.append(str(abs(coef)))
-        tokens.append(var)
-    return " ".join(tokens)
-
-
 def to_lp_text(model):
-    """Serialize the model in LP format."""
-    x, y, p = model._names()
-    lines = ["Minimize", " obj: " + " + ".join(p), "Subject To"]
-    for name, terms, sense, rhs in model.constraints():
-        lines.append(" %s: %s %s %d" % (name, _lp_expr(terms), sense, rhs))
-    lines.append("Binary")
-    lines.extend(" " + v for row in x for v in row)
-    lines.extend(" " + v for plane in y for row in plane for v in row)
-    lines.extend(" " + v for v in p)
-    lines.append("End")
-    return "\n".join(lines) + "\n"
+    """Serialize the model in LP format, family by family in the order
+    of the IPModel docstring, from tables of the variable names.
+    Transition rows build their name prefix and x[i][j] term once per j."""
+    n, m, r = model.n, model.n_symbols, range(model.n)
+    x = [["x_%d_%d" % (i, j) for j in r] for i in r]
+    y = [[["y_%d_%d_%d" % (a, j, k) for k in r] for j in r]
+         for a in range(m if model.deterministic else 0)]
+    p = ["p_%d" % j for j in r]
+    out = ["Minimize\n obj: ", " + ".join(p), "\nSubject To\n"]
+    out += [" assign_%d: %s = 1\n" % (i, " + ".join(x[i])) for i in r]
+    if model.deterministic:
+        ks = ["%d: " % k for k in r]
+        x_minus = [[v + " - " for v in row] for row in x]
+        y_le = [[[v + " <= 1\n" for v in row] for row in plane] for plane in y]
+        for a in range(m):
+            for i, l in enumerate(model.z[a]):
+                if l is None:
+                    continue
+                for j in r:
+                    head = " trans_%d_%d_%d_" % (a, i, j)
+                    mid = x[i][j] + " + "
+                    rows = [head + k + mid + xk + yk
+                            for k, xk, yk in zip(ks, x_minus[l], y_le[a][j])]
+                    if i == l:
+                        rows[j] = "%s%d: 2 %s - %s" % (head, j, x[i][j], y_le[a][j][j])
+                    out += rows
+        out += [" det_%d_%d: %s <= 1\n" % (j, a, " + ".join(y[a][j]))
+                for j in r for a in range(m)]
+    for i in r:
+        for l in range(i + 1, n):
+            if not model.mu[i][l]:
+                out += [" compat_%d_%d_%d: %s + %s <= 1\n" % (i, l, j, x[i][j], x[l][j])
+                        for j in r]
+    coef = "" if n == 1 else "%d " % n
+    out += [" open_%d: %s - %s%s <= 0\n" % (j, " + ".join(row[j] for row in x), coef, p[j]) for j in r]
+    binary = [v for row in x for v in row] + [v for pl in y for row in pl for v in row] + p
+    out.append("Binary\n %s\nEnd\n" % "\n ".join(binary))
+    return "".join(out)

@@ -1,11 +1,11 @@
 """Exhaustive oracles that the tests and demo 03 check the solvers
 against. They enumerate every partition (or every assignment of the IP
-model) and refuse inputs above a small size limit; nothing in the package
-calls them.
+model, checked against the rows parsed back from its LP text) and refuse
+inputs above a small size limit; nothing in the package calls them.
 """
 
 from .errors import TooLargeForOracleError
-from .exact import _adjacency
+from .exact import _adjacency, to_lp_text
 
 
 def brute_force_min_states(graph, succ=None, deterministic=False, limit=10):
@@ -59,19 +59,42 @@ def brute_force_min_states(graph, succ=None, deterministic=False, limit=10):
     return best[0]
 
 
+def lp_rows(text):
+    """The constraint rows of LP text as written by ``to_lp_text``: a list
+    of (name, terms, sense, rhs), where terms is a tuple of (coef,
+    variable name) pairs and sense is "=" or "<="."""
+    body = text.split("\nSubject To\n", 1)[1].split("\nBinary\n", 1)[0]
+    rows = []
+    for line in body.splitlines():
+        name, expr = line[1:].split(": ", 1)
+        *tokens, sense, rhs = expr.split()
+        terms, coef = [], 1
+        for tok in tokens:
+            if tok == "-":
+                coef = -1
+            elif tok.isdigit():
+                coef *= int(tok)
+            elif tok != "+":
+                terms.append((coef, tok))
+                coef = 1
+        rows.append((name, tuple(terms), sense, int(rhs)))
+    return rows
+
+
 def solve_ip_model(model, limit=8):
-    """Solve the model by exhaustive search over its own constraints.
+    """Solve the model by exhaustive search over the rows of its LP text.
 
     Enumerates the assignment space (every x satisfying the assignment
     family, up to state relabelling), derives the induced y and p, then
-    keeps the candidate only if every row of ``constraints`` holds when
-    the variables named in the candidate's set are 1 and all others 0.
-    Deliberately independent of the branch-and-bound pruning logic.
+    keeps the candidate only if every row of ``lp_rows(to_lp_text(model))``
+    holds when the variables named in the candidate's set are 1 and all
+    others 0. Deliberately independent of the branch-and-bound pruning
+    logic, and it checks the file that ``infer --lp`` writes.
     """
     n, m = model.n, model.n_symbols
     if n > limit:
         raise TooLargeForOracleError("%d histories exceed the model-search limit %d" % (n, limit))
-    rows = list(model.constraints())
+    rows = lp_rows(to_lp_text(model))
     best = [None]
 
     def evaluate(assign):

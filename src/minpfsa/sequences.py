@@ -151,7 +151,8 @@ class WindowCounts:
     prefix among the distinct prefixes, times |A|, plus its last symbol.
     Ranks are below the sequence length n, so codes stay below n·|A|
     whatever the alphabet size or L; plain base-|A| codes would overflow
-    once |A|^(L+1) exceeds 2^63.
+    once |A|^(L+1) exceeds 2^63. Each level is ranked in the narrowest
+    unsigned dtype that holds its codes: numpy radix-sorts up to 16 bits.
     """
 
     def __init__(self, seq, L):
@@ -172,7 +173,8 @@ class WindowCounts:
         for k in range(1, L + 2):
             code = rank[:len(toks) - k + 1] * len(seq.alphabet) + toks[k - 1:]
             _, first, rank, num = np.unique(
-                code, return_index=True, return_inverse=True, return_counts=True
+                code.astype(np.min_scalar_type(int(code.max()))),
+                return_index=True, return_inverse=True, return_counts=True,
             )
             order = np.argsort(first)
             for i, c in zip(first[order].tolist(), num[order].tolist()):

@@ -164,7 +164,7 @@ def test_enumerate_exact_covers_blocks_are_cliques():
 
 
 def test_enumerate_exact_covers_cap(fixture_graph):
-    with pytest.raises(CoverOverflowError):
+    with pytest.raises(CoverOverflowError, match="^more than 1 exact covers of 3 cliques$"):
         enumerate_exact_covers(fixture_graph, 3, cap=1)
 
 

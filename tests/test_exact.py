@@ -7,18 +7,20 @@ import pytest
 
 from minpfsa import (
     BINARY,
+    Alphabet,
     TooLargeForOracleError,
     build_ip_model,
     compatibility_graph,
     count_windows,
     from_text,
+    from_tokens,
     greedy_independent_set,
     solve_msdpfsa,
     solve_msndpfsa,
     succ_table,
     to_lp_text,
 )
-from minpfsa.oracles import brute_force_min_states, solve_ip_model
+from minpfsa.oracles import brute_force_min_states, lp_rows, solve_ip_model
 from tests.conftest import make_instances
 
 FIXTURE_SUCC = ((0, 1), (3, 2), (3, None), (0, 1))
@@ -179,13 +181,47 @@ def test_ip_model_needs_succ(fixture_graph):
         build_ip_model(fixture_graph, None)
 
 
+def _families(model):
+    """Row count of each constraint family in the model's parsed LP text."""
+    counts = {}
+    for name, _, _, _ in lp_rows(to_lp_text(model)):
+        family = name.split("_")[0]
+        counts[family] = counts.get(family, 0) + 1
+    return counts
+
+
 def test_ip_constraint_families(fixture_graph, fixture_succ):
-    names = [name for name, _, _, _ in build_ip_model(fixture_graph, fixture_succ).constraints()]
-    prefixes = {n.split("_")[0] for n in names}
-    assert prefixes == {"assign", "trans", "det", "compat", "open"}
+    det = build_ip_model(fixture_graph, fixture_succ)
+    assert set(_families(det)) == {"assign", "trans", "det", "compat", "open"}
     relaxed = build_ip_model(fixture_graph, fixture_succ, deterministic=False)
-    prefixes = {n.split("_")[0] for n, _, _, _ in relaxed.constraints()}
-    assert prefixes == {"assign", "compat", "open"}
+    assert set(_families(relaxed)) == {"assign", "compat", "open"}
+
+
+@pytest.mark.parametrize("deterministic", [True, False])
+def test_lp_rows_per_family(fixture_graph, fixture_succ, deterministic):
+    instances = [(fixture_graph, fixture_succ)]
+    instances += [(graph, succ) for _, graph, succ in make_instances(4, seed=9)]
+    self_rows = 0
+    for graph, succ in instances:
+        model = build_ip_model(graph, succ, deterministic=deterministic)
+        n, m = model.n, model.n_symbols
+        observed = sum(l is not None for row in succ for l in row)
+        incompatible = sum(not model.mu[i][l] for i in range(n) for l in range(i + 1, n))
+        expect = {"assign": n, "compat": n * incompatible, "open": n}
+        if deterministic:
+            expect.update(trans=n * n * observed, det=n * m)
+        assert _families(model) == {f: c for f, c in expect.items() if c}
+        rows = lp_rows(to_lp_text(model))
+        assert ("open_0", tuple((1, "x_%d_0" % i) for i in range(n)) + ((-n, "p_0"),),
+                "<=", 0) in rows
+        for i, row in enumerate(succ):
+            for a, l in enumerate(row):
+                if deterministic and l == i:
+                    self_rows += 1
+                    name = "trans_%d_%d_0_0" % (a, i)
+                    assert (name, ((2, "x_%d_0" % i), (-1, "y_%d_0_0" % a)), "<=", 1) in rows
+    # the fixture's 00 history and the pool both have self-successors
+    assert self_rows >= 2 if deterministic else self_rows == 0
 
 
 def test_ip_solution_matches_search_fixture(fixture_graph, fixture_succ):
@@ -249,6 +285,14 @@ POOL_LP_SHA256 = [  # make_instances(4, seed=9): (deterministic, relaxed)
      "88112ff1196eea2c2ffd3f4b839a74128f435922b589530b6f3c204dce61d132"),
 ]
 
+# 27 histories at L = 3 over three symbols, with 14 missing successors, a
+# self-successor (000 under 0) and incompatible pairs; recorded with the
+# row-by-row formatter that the block writer replaced
+WIDE_LP_SHA256 = {
+    True: "25d579cfb7a8b1fead9a8d5d5c5e9672d6adac970759ff2be76f0c97b799ec21",
+    False: "88896b624ae030120d1b3f40bb43ddb161c6e46c3883c11a6a3f15c72438c41e",
+}
+
 
 def _lp_sha256(graph, succ, deterministic):
     model = build_ip_model(graph, succ, deterministic=deterministic)
@@ -273,3 +317,17 @@ def test_lp_text_bytes_pool():
         for _, graph, succ in instances
     ]
     assert got == POOL_LP_SHA256
+
+
+@pytest.mark.parametrize("deterministic", [True, False])
+def test_lp_text_bytes_wide(deterministic):
+    rng = np.random.default_rng(0)
+    toks = np.concatenate([np.zeros(12, dtype=np.int64), rng.integers(0, 3, size=150)])
+    wc = count_windows(from_tokens(toks, Alphabet(("0", "1", "2"))), 3)
+    graph = compatibility_graph(wc)
+    succ = succ_table(wc, graph.vertices)
+    assert len(succ) == 27
+    assert sum(l is None for row in succ for l in row) == 14
+    assert any(row[a] == i for i, row in enumerate(succ) for a in range(3))
+    assert not graph.mu.all()
+    assert _lp_sha256(graph, succ, deterministic) == WIDE_LP_SHA256[deterministic]

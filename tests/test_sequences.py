@@ -173,7 +173,11 @@ WIDE_TOKENS = " ".join(["s%d" % i for i in range(64)] + ["s0"] + ["s1"] * 10
 def test_count_windows_matches_naive():
     rng = np.random.default_rng(31)
     wide = parse_sequence(WIDE_TOKENS, "tokens")
-    cases = [(wide, 10)]
+    # 300 tokens: 300 distinct first symbols times 300 give length-2 codes
+    # above 65,535, so the codes are ranked as 8-, 16- and 32-bit keys
+    many = parse_sequence(" ".join("t%d" % t for t in rng.permutation(1500) % 300), "tokens")
+    assert len(many.alphabet) ** 2 > 2**16
+    cases = [(wide, 10), (many, 2)]
     for k in range(1, 6):
         for L in range(6):
             for n in (L + 1, 40, 400):
