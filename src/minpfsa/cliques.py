@@ -1,12 +1,10 @@
-"""Maximal-clique enumeration, exact minimum clique cover and the
-cover-based inference pipeline.
+"""Maximal cliques, exact minimum clique cover and the cover pipeline.
 
-The pipeline mirrors the reduction of the non-deterministic minimum-state
-problem to clique partitioning: enumerate the maximal cliques of the
-compatibility graph, cover the histories with the fewest cliques,
-enumerate every partition of the histories into that many cliques, make
-each one deterministic by successor-signature splitting, and build the
-machine of the partition with the fewest final states.
+The pipeline follows the reduction of the non-deterministic problem to
+clique partitioning: cover the histories with the fewest maximal
+cliques, enumerate every partition into that many cliques with the
+first-fit search of ``exact._first_fit``, make each deterministic by
+successor-signature splitting, and build the smallest result.
 """
 
 from dataclasses import dataclass
@@ -14,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoverOverflowError
-from .exact import _adjacency
+from .exact import _adjacency, _first_fit
 from .machine import StatePartition, build_machine, split_to_deterministic
 from .stat_tests import TestConfig, compatibility_graph
 
@@ -118,39 +116,18 @@ def min_clique_cover(cliques, n_vertices, k_upper=None):
 
 
 def enumerate_exact_covers(graph, optimum, cap=10000):
-    """Every partition of the vertices into exactly ``optimum`` cliques.
-
-    Blocks need not be maximal. First-fit enumeration keeps each partition
-    unique and orders blocks by their smallest vertex. Raises
-    CoverOverflowError past ``cap`` partitions.
-    """
-    mu = _adjacency(graph)
-    n = len(mu)
+    """Every partition of the vertices into exactly ``optimum`` cliques,
+    blocks ordered by their smallest vertex, in the first-fit order of
+    ``exact._first_fit``. Raises CoverOverflowError past ``cap``."""
     covers = []
-    blocks = []
 
-    def recurse(v):
-        if v == n:
-            if len(blocks) == optimum:
-                covers.append(tuple(tuple(b) for b in blocks))
-                if len(covers) > cap:
-                    raise CoverOverflowError(
-                        "more than %d exact covers of %d cliques" % (cap, optimum)
-                    )
-            return
-        if len(blocks) + (n - v) < optimum:
-            return
-        for b in blocks:
-            if all(mu[v][u] for u in b):
-                b.append(v)
-                recurse(v + 1)
-                b.pop()
-        if len(blocks) < optimum:
-            blocks.append([v])
-            recurse(v + 1)
-            blocks.pop()
+    def collect(assign, blocks):
+        covers.append(tuple(map(tuple, blocks)))
+        if len(covers) > cap:
+            raise CoverOverflowError("more than %d exact covers of %d cliques" % (cap, optimum))
+        return optimum
 
-    recurse(0)
+    _first_fit(graph, None, optimum, optimum, collect)
     return covers
 
 

@@ -1,24 +1,16 @@
 """Exact minimum-state searches.
 
-``solve_msdpfsa`` finds the minimum number of states of a deterministic
-machine consistent with the pairwise compatibility relation and the
-shift-append successor structure. ``solve_msndpfsa`` drops the determinism
-requirement, which reduces the problem to partitioning the compatibility
-graph into the fewest cliques.
+``solve_msdpfsa`` finds the fewest states of a deterministic machine
+consistent with the compatibility relation and the successor table;
+``solve_msndpfsa`` drops determinism, which makes the problem clique
+partitioning. Both, and ``cliques.enumerate_exact_covers``, run one
+first-fit search (``_first_fit``): history i may only open the lowest
+unused state, so each partition is visited once, in lexicographic
+assignment order. The solvers bound it below by a greedy independent set
+and return the lexicographically least optimum.
 
-Both run a depth-first branch and bound over history-to-state assignments
-with first-fit symmetry breaking: history i may only open the lowest
-still-unused state, so each partition is visited once, in lexicographic
-assignment order. The lower bound is the size of a greedily grown
-independent set of the compatibility graph, since pairwise-incompatible
-histories can never share a state. Among minimum-state assignments the
-lexicographically least one is returned.
-
-``build_ip_model`` states the same problem as an explicit 0/1 integer
-program, and ``to_lp_text`` writes it as LP text. That text is the one
-definition of the rows: the test oracle ``oracles.solve_ip_model`` parses
-it back (``oracles.lp_rows``) and solves it by exhaustive search, which
-checks both the branch-and-bound and the file that ``infer --lp`` writes.
+``build_ip_model`` states the problem as a 0/1 integer program and
+``to_lp_text`` writes it; ``oracles.solve_ip_model`` solves that text.
 """
 
 import time
@@ -59,16 +51,15 @@ class SolveResult:
     elapsed: float = 0.0
 
 
-def _branch_and_bound(graph, succ):
-    """Shared search, timed. succ is None for the non-deterministic variant."""
-    t0 = time.perf_counter()
+def _first_fit(graph, succ, low, high, visit):
+    """Walk the first-fit assignments in lexicographic order, calling
+    ``visit(assign, blocks)`` at each partition into low..high states
+    (deterministic under succ unless succ is None). blocks lists each
+    state's members, ascending; both arguments are live, so visit copies
+    what it keeps. visit returns the new high, and the search stops once
+    high < low. Returns the number of nodes explored."""
     mu = _adjacency(graph).tolist()
-    W = getattr(graph, "vertices", tuple((i,) for i in range(len(mu))))
     n = len(mu)
-    if n == 0:
-        raise ValueError("no histories to assign")
-    lower = len(greedy_independent_set(mu))
-
     preds = [[] for _ in range(n)]
     if succ is not None:
         for u in range(n):
@@ -79,7 +70,7 @@ def _branch_and_bound(graph, succ):
     assign = [-1] * n
     members = [[] for _ in range(n)]
     targets = {}
-    best = {"count": n + 1, "assign": None, "explored": 0}
+    explored = 0
 
     def undo(trail):
         for key in trail:
@@ -103,51 +94,64 @@ def _branch_and_bound(graph, succ):
                 return True
             return known == target
 
-        ok = True
         for a, l in enumerate(succ[v]):
             if l is not None and (l == v or assign[l] >= 0):
-                t = s if l == v else assign[l]
-                if not force(s, a, t):
-                    ok = False
+                if not force(s, a, s if l == v else assign[l]):
                     break
-        if ok:
+        else:
             for (u, a) in preds[v]:
-                if u != v and assign[u] >= 0:
-                    if not force(assign[u], a, s):
-                        ok = False
-                        break
-        if not ok:
-            undo(trail)
-            return None
-        return trail
+                if u != v and assign[u] >= 0 and not force(assign[u], a, s):
+                    break
+            else:
+                return trail
+        undo(trail)
+        return None
 
     def recurse(v, used):
-        best["explored"] += 1
+        nonlocal explored, high
+        explored += 1
         if v == n:
-            if used < best["count"]:
-                best["count"] = used
-                best["assign"] = tuple(assign)
+            if low <= used <= high:
+                high = visit(assign, members[:used])
             return
-        if max(used, lower) >= best["count"]:
+        if used + n - v < low:
             return
-        limit = min(used + 1, n)
-        for s in range(limit):
-            opens = s == used
-            if opens and used + 1 >= best["count"]:
+        for s in range(used + 1):
+            if s == used and used >= high:
                 break
             trail = place(v, s)
             if trail is None:
                 continue
             assign[v] = s
             members[s].append(v)
-            recurse(v + 1, used + 1 if opens else used)
+            recurse(v + 1, used + (s == used))
             members[s].pop()
             assign[v] = -1
             undo(trail)
+            if used > high or high < low:
+                return
 
     recurse(0, 0)
-    part = StatePartition(tuple(tuple(h) for h in W), best["assign"])
-    return SolveResult(best["count"], part, best["explored"], time.perf_counter() - t0)
+    return explored
+
+
+def _solve(graph, succ):
+    """The lexicographically least minimum partition, timed."""
+    t0 = time.perf_counter()
+    mu = _adjacency(graph).tolist()
+    n = len(mu)
+    if n == 0:
+        raise ValueError("no histories to assign")
+    best = [n + 1, None]
+
+    def record(assign, blocks):
+        best[:] = len(blocks), tuple(assign)
+        return len(blocks) - 1
+
+    explored = _first_fit(mu, succ, len(greedy_independent_set(mu)), n, record)
+    W = getattr(graph, "vertices", tuple((i,) for i in range(n)))
+    part = StatePartition(tuple(tuple(h) for h in W), best[1])
+    return SolveResult(best[0], part, explored, time.perf_counter() - t0)
 
 
 def solve_msdpfsa(graph, succ):
@@ -155,13 +159,13 @@ def solve_msdpfsa(graph, succ):
     compatibility graph and successor table."""
     if succ is None:
         raise ValueError("the deterministic search needs a successor table")
-    return _branch_and_bound(graph, succ)
+    return _solve(graph, succ)
 
 
 def solve_msndpfsa(graph):
     """Minimum states without the determinism requirement. Equals the
     minimum number of cliques that partition the compatibility graph."""
-    return _branch_and_bound(graph, None)
+    return _solve(graph, None)
 
 
 # ---------------------------------------------------------------------------

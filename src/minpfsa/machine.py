@@ -313,6 +313,8 @@ def from_json(text):
         tok_index = {t: i for i, t in enumerate(alphabet.symbols)}
         ids = [s["id"] for s in obj["states"]]
         id_map = {sid: j for j, sid in enumerate(ids)}
+        if len(id_map) != len(ids):
+            raise FormatError("duplicate state id in %r" % (ids,))
         states = tuple(
             tuple(alphabet.parse(hist) for hist in s["histories"]) for s in obj["states"]
         )
@@ -322,6 +324,8 @@ def from_json(text):
             j = id_map[tr["from"]]
             a = tok_index[tr["symbol"]]
             k = id_map[tr["to"]]
+            if type(tr["prob"]) not in (int, float):
+                raise FormatError("prob is not a number: %r" % (tr["prob"],))
             delta.setdefault((j, a), set()).add(k)
             prev = probs.get((j, a))
             if prev is not None and prev != tr["prob"]:
@@ -341,19 +345,24 @@ def from_json(text):
     return PFSA(alphabet, states, delta, probs, start)
 
 
+def _dot_escape(text):
+    """Backslash-escape the characters that end or escape a DOT string."""
+    return str(text).replace("\\", "\\\\").replace('"', '\\"')
+
+
 def to_dot(machine):
     """Render as a Graphviz digraph, one edge per transition, labelled
     symbol/probability with four decimals."""
     lines = ["digraph pfsa {", "  rankdir=LR;"]
     for j, block in enumerate(machine.states):
         label = "q%d" % (j + 1)
-        members = ",".join(machine.alphabet.render(h) for h in block)
+        members = _dot_escape(",".join(machine.alphabet.render(h) for h in block))
         lines.append('  q%d [label="%s\\n{%s}"];' % (j + 1, label, members))
     for (j, a) in sorted(machine.delta):
         for k in sorted(machine.delta[(j, a)]):
             lines.append(
                 '  q%d -> q%d [label="%s/%.4f"];'
-                % (j + 1, k + 1, machine.alphabet.symbols[a], machine.probs[(j, a)])
+                % (j + 1, k + 1, _dot_escape(machine.alphabet.symbols[a]), machine.probs[(j, a)])
             )
     lines.append("}")
     return "\n".join(lines) + "\n"

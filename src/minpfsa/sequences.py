@@ -230,14 +230,13 @@ def succ_table(wc, W):
 class ConditionalDistribution:
     """Next-symbol distribution of a history or pooled set of histories.
 
-    probs[a] = (number of continuations with symbol a) / support_count,
-    where support_count is the total number of observed continuations.
+    probs[a] is the number of continuations with symbol a over the total
+    number of observed continuations.
     A history occurring only at the very end of the sequence has no
     continuation and no conditional distribution.
     """
 
     probs: np.ndarray
-    support_count: int
 
 
 def cond_dist(wc, history):
@@ -260,7 +259,7 @@ def state_dist(wc, histories):
         raise UnobservedHistoryError(
             "no member of %r has an observed continuation" % (hs,)
         )
-    return ConditionalDistribution(ext / support, support)
+    return ConditionalDistribution(ext / support)
 
 
 def histories(wc, length=None):

@@ -269,7 +269,6 @@ class CompatibilityGraph:
     vertices: tuple
     pvalues: np.ndarray
     mu: np.ndarray
-    config: TestConfig
 
     def edges(self):
         """Off-diagonal compatible pairs (i, l) with i < l."""
@@ -290,5 +289,5 @@ def compatibility_graph(wc, config=None):
             pvals[i, l] = pvals[l, i] = test(ext[i], ext[l])
     mu = pvals > cfg.alpha
     np.fill_diagonal(mu, True)
-    return CompatibilityGraph(verts, pvals, mu, cfg)
+    return CompatibilityGraph(verts, pvals, mu)
 

@@ -164,8 +164,60 @@ def test_enumerate_exact_covers_blocks_are_cliques():
 
 
 def test_enumerate_exact_covers_cap(fixture_graph):
-    with pytest.raises(CoverOverflowError, match="^more than 1 exact covers of 3 cliques$"):
-        enumerate_exact_covers(fixture_graph, 3, cap=1)
+    for cap in (0, 1):
+        with pytest.raises(CoverOverflowError, match="^more than %d exact covers of 3 cliques$" % cap):
+            enumerate_exact_covers(fixture_graph, 3, cap=cap)
+
+
+def exact_covers_reference(mu, optimum, cap):
+    """Reference enumeration: a plain block-list recursion in first-fit
+    order, with the same cap and overflow message."""
+    n = len(mu)
+    covers = []
+    blocks = []
+
+    def recurse(v):
+        if v == n:
+            if len(blocks) == optimum:
+                covers.append(tuple(tuple(b) for b in blocks))
+                if len(covers) > cap:
+                    raise CoverOverflowError(
+                        "more than %d exact covers of %d cliques" % (cap, optimum)
+                    )
+            return
+        if len(blocks) + (n - v) < optimum:
+            return
+        for b in blocks:
+            if all(mu[v][u] for u in b):
+                b.append(v)
+                recurse(v + 1)
+                b.pop()
+        if len(blocks) < optimum:
+            blocks.append([v])
+            recurse(v + 1)
+            blocks.pop()
+
+    recurse(0)
+    return covers
+
+
+def _covers_or_message(enumerate_covers, mu, k, cap):
+    try:
+        return enumerate_covers(mu, k, cap)
+    except CoverOverflowError as exc:
+        return "overflow: %s" % exc
+
+
+def test_enumerate_exact_covers_matches_reference():
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        n = int(rng.integers(1, 11))
+        mu = random_graph(rng, n, float(rng.uniform(0.1, 0.95)))
+        for k in range(1, n + 1):
+            for cap in (0, 1, 7, 10000):
+                got = _covers_or_message(enumerate_exact_covers, mu, k, cap)
+                want = _covers_or_message(exact_covers_reference, mu.tolist(), k, cap)
+                assert got == want, (mu.tolist(), k, cap)
 
 
 def test_reconstruct_deterministic_fixture(fixture_graph, fixture_wc):

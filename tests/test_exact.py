@@ -165,6 +165,49 @@ def test_searches_match_brute_force():
         assert solve_msndpfsa(graph).optimum == brute_force_min_states(graph)
 
 
+def lex_least_oracle(mu, succ=None):
+    """The first restricted-growth assignment, in lexicographic order, with
+    the fewest states among those that keep only compatible histories
+    together and, when succ is given, send each state's histories to one
+    state per symbol. Tries every assignment."""
+    n = len(mu)
+    best = None
+
+    def valid(assign):
+        for i in range(n):
+            for l in range(i + 1, n):
+                if assign[i] == assign[l] and not mu[i][l]:
+                    return False
+        if succ is not None:
+            targets = {}
+            for i, row in enumerate(succ):
+                for a, l in enumerate(row):
+                    if l is not None and targets.setdefault((assign[i], a), assign[l]) != assign[l]:
+                        return False
+        return True
+
+    def assignments(prefix, used):
+        if len(prefix) == n:
+            yield tuple(prefix)
+            return
+        for s in range(used + 1):
+            yield from assignments(prefix + [s], max(used, s + 1))
+
+    for assign in assignments([], 0):
+        states = max(assign) + 1
+        if (best is None or states < max(best) + 1) and valid(assign):
+            best = assign
+    return best
+
+
+def test_searches_return_lex_least_optimum(fixture_graph, fixture_succ):
+    cases = [(fixture_graph, fixture_succ)] + [(g, s) for _, g, s in make_instances(60, seed=11)]
+    for graph, succ in cases:
+        mu = graph.mu.tolist()
+        assert solve_msdpfsa(graph, succ).partition.assign == lex_least_oracle(mu, succ)
+        assert solve_msndpfsa(graph).partition.assign == lex_least_oracle(mu)
+
+
 # ---------------------------------------------------------------------------
 # the IP view
 

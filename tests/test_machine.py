@@ -422,6 +422,23 @@ def test_from_json_rejects_unknown_start(start):
         from_json(json.dumps(obj))
 
 
+@pytest.mark.parametrize("prob", ["0.5", None, True])
+def test_from_json_rejects_non_number_prob(prob):
+    m = PFSA(BINARY, ((), ()), {(0, 0): frozenset([1])}, {(0, 0): 1.0})
+    obj = json.loads(to_json(m))
+    obj["transitions"][0]["prob"] = prob
+    with pytest.raises(FormatError, match="prob is not a number"):
+        from_json(json.dumps(obj))
+
+
+def test_from_json_rejects_duplicate_state_id():
+    m = PFSA(BINARY, ((), ()), {(0, 0): frozenset([1])}, {(0, 0): 1.0})
+    obj = json.loads(to_json(m))
+    obj["states"][1]["id"] = obj["states"][0]["id"]
+    with pytest.raises(FormatError, match="duplicate state id"):
+        from_json(json.dumps(obj))
+
+
 def test_dot_has_five_nonzero_edges(fixture_wc):
     m = build_machine(fixture_wc, optimal_partition(fixture_wc))
     dot = to_dot(m)
@@ -437,6 +454,16 @@ def test_dot_renders_dead_end_node():
     assert "q2" in dot
     edges = [line for line in dot.splitlines() if "->" in line]
     assert len(edges) == 1
+
+
+def test_dot_escapes_quotes_and_backslashes():
+    alphabet = Alphabet(('a"b', "c\\"))
+    m = PFSA(alphabet, (((0,), (1,)), ((1, 0),)),
+             {(0, 0): frozenset([1]), (1, 1): frozenset([0])}, {(0, 0): 1.0, (1, 1): 1.0})
+    dot = to_dot(m)
+    assert '  q1 [label="q1\\n{a\\"b,c\\\\}"];' in dot
+    assert '  q1 -> q2 [label="a\\"b/1.0000"];' in dot
+    assert '  q2 -> q1 [label="c\\\\/1.0000"];' in dot
 
 
 @pytest.mark.parametrize("symbols", [("ab", "c"), ("x1", "y", "zz")])
