@@ -4,15 +4,16 @@ The pipeline follows the reduction of the non-deterministic problem to
 clique partitioning: cover the histories with the fewest maximal
 cliques, enumerate every partition into that many cliques with the
 first-fit search of ``exact._first_fit``, make each deterministic by
-successor-signature splitting, and build the smallest result.
+successor-signature splitting, and build the smallest result. The
+clique searches work on int bitsets of vertices; the cover search is
+bounded below by a greedy independent set of the uncovered vertices,
+and its optimum is also what ``exact.solve_msndpfsa`` takes as proven.
 """
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import CoverOverflowError
-from .exact import _adjacency, _first_fit
+from .exact import _bitsets, _first_fit, _greedy_is, _vertices
 from .machine import StatePartition, build_machine, split_to_deterministic
 from .stat_tests import TestConfig, compatibility_graph
 
@@ -21,26 +22,29 @@ def bron_kerbosch(graph):
     """All maximal cliques, each a sorted tuple of vertex indices, the
     list sorted lexicographically.
 
-    Classic recursion with pivoting: the pivot is the vertex of P union X
-    with the most neighbours inside P (lowest index on ties), and only
-    non-neighbours of the pivot are branched on.
+    Classic recursion with pivoting, on int bitsets: the pivot is the
+    vertex of P union X with the most neighbours inside P (lowest index on
+    ties), and only non-neighbours of the pivot are branched on.
     """
-    mu = _adjacency(graph)
-    n = len(mu)
-    neighbours = [set(np.nonzero(mu[v])[0].tolist()) - {v} for v in range(n)]
+    nbrs = [a & ~(1 << v) for v, a in enumerate(_bitsets(graph))]
     cliques = []
 
     def extend(r, p, x):
         if not p and not x:
-            cliques.append(tuple(sorted(r)))
+            cliques.append(_vertices(r))
             return
-        pivot = max(sorted(p | x), key=lambda u: len(p & neighbours[u]))
-        for v in sorted(p - neighbours[pivot]):
-            extend(r | {v}, p & neighbours[v], x & neighbours[v])
-            p.remove(v)
-            x.add(v)
+        most = -1
+        for u in _vertices(p | x):
+            inside = (p & nbrs[u]).bit_count()
+            if inside > most:
+                pivot, most = u, inside
+        for v in _vertices(p & ~nbrs[pivot]):
+            bit = 1 << v
+            extend(r | bit, p & nbrs[v], x & nbrs[v])
+            p ^= bit
+            x |= bit
 
-    extend(set(), set(range(n)), set())
+    extend(0, (1 << len(nbrs)) - 1, 0)
     return sorted(cliques)
 
 
@@ -60,32 +64,40 @@ def min_clique_cover(cliques, n_vertices, k_upper=None):
     """Exact minimum number of maximal cliques covering all vertices.
 
     Branch and bound over the uncovered vertices, seeded with a greedy
-    cover as the incumbent. k_upper (a heuristic state count the caller
-    may pass, such as a cssr machine's) is only recorded on the result;
-    it does not constrain the search, so a wrong bound cannot make the
-    result wrong. clique_pipeline passes none.
+    cover as the incumbent. A branch is cut when the cliques chosen plus a
+    greedy independent set of the uncovered vertices (vertices no given
+    clique holds together, so each needs its own clique) cannot beat the
+    incumbent; that cuts no strictly better cover, so the first optimum
+    found is the same as without the bound. k_upper (a heuristic state
+    count the caller may pass, such as a cssr machine's) is only recorded
+    on the result; it does not constrain the search, so a wrong bound
+    cannot make the result wrong. clique_pipeline passes none.
     """
     cliques = [tuple(sorted(c)) for c in cliques]
-    all_covered = set()
-    for c in cliques:
-        all_covered.update(c)
-    if all_covered != set(range(n_vertices)):
+    masks = [sum(1 << v for v in c) for c in cliques]
+    full = (1 << n_vertices) - 1
+    covered = 0
+    for m in masks:
+        covered |= m
+    if covered != full:
         raise ValueError("cliques do not cover the vertex set")
 
     containing = [[] for _ in range(n_vertices)]
+    adj = [0] * n_vertices
     for ci, c in enumerate(cliques):
         for v in c:
             containing[v].append(ci)
+            adj[v] |= masks[ci]
 
     # greedy incumbent: repeatedly take the clique covering the most
     # still-uncovered vertices (lowest index on ties)
-    uncovered = set(range(n_vertices))
+    uncovered = full
     greedy = []
     while uncovered:
-        gains = [len(uncovered & set(c)) for c in cliques]
-        ci = int(np.argmax(gains))
+        gains = [(uncovered & m).bit_count() for m in masks]
+        ci = gains.index(max(gains))
         greedy.append(ci)
-        uncovered -= set(cliques[ci])
+        uncovered &= ~masks[ci]
     best = {"count": len(greedy), "chosen": tuple(greedy)}
 
     chosen = []
@@ -96,15 +108,14 @@ def min_clique_cover(cliques, n_vertices, k_upper=None):
                 best["count"] = len(chosen)
                 best["chosen"] = tuple(chosen)
             return
-        if len(chosen) + 1 >= best["count"]:
+        if len(chosen) + _greedy_is(adj, uncovered).bit_count() >= best["count"]:
             return
-        v = min(uncovered)
-        for ci in containing[v]:
+        for ci in containing[(uncovered & -uncovered).bit_length() - 1]:
             chosen.append(ci)
-            recurse(uncovered - set(cliques[ci]))
+            recurse(uncovered & ~masks[ci])
             chosen.pop()
 
-    recurse(frozenset(range(n_vertices)))
+    recurse(full)
 
     chosen_cliques = tuple(sorted(cliques[ci] for ci in best["chosen"]))
     assignment = [None] * n_vertices
@@ -127,7 +138,7 @@ def enumerate_exact_covers(graph, optimum, cap=10000):
             raise CoverOverflowError("more than %d exact covers of %d cliques" % (cap, optimum))
         return optimum
 
-    _first_fit(graph, None, optimum, optimum, collect)
+    _first_fit(_bitsets(graph), None, optimum, optimum, collect)
     return covers
 
 

@@ -4,10 +4,15 @@
 consistent with the compatibility relation and the successor table;
 ``solve_msndpfsa`` drops determinism, which makes the problem clique
 partitioning. Both, and ``cliques.enumerate_exact_covers``, run one
-first-fit search (``_first_fit``): history i may only open the lowest
-unused state, so each partition is visited once, in lexicographic
-assignment order. The solvers bound it below by a greedy independent set
-and return the lexicographically least optimum.
+first-fit search (``_first_fit``) on int bitsets of the compatibility
+graph: history i may only open the lowest unused state, so each
+partition is visited once, in lexicographic assignment order, and
+forward checking cuts the branches whose unplaceable histories need too
+many new states. The solvers return the lexicographically least optimum.
+``solve_msdpfsa`` bounds the search below by a greedy independent set.
+``solve_msndpfsa`` keeps the first partition when it meets that bound;
+otherwise ``cliques.min_clique_cover`` proves the optimum k and the
+search at exactly k states recovers the partition.
 
 ``build_ip_model`` states the problem as a 0/1 integer program and
 ``to_lp_text`` writes it; ``oracles.solve_ip_model`` solves that text.
@@ -29,21 +34,52 @@ def _adjacency(graph):
     return np.asarray(mu, dtype=bool)
 
 
+def _bitsets(graph):
+    """Each vertex's closed neighbourhood (itself included) as an int
+    bitset: bit u of entry v is set when u and v are compatible."""
+    mu = _adjacency(graph)
+    if mu.size == 0:
+        return []
+    rows = np.packbits(mu, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") | 1 << v for v, row in enumerate(rows)]
+
+
+def _greedy_is(adj, mask):
+    """A greedy independent set of the vertices in the bitset mask, lowest
+    index first, as a bitset. adj holds closed neighbourhoods."""
+    chosen = 0
+    while mask:
+        bit = mask & -mask
+        chosen |= bit
+        mask &= ~adj[bit.bit_length() - 1]
+    return chosen
+
+
+def _vertices(mask):
+    """The members of a bitset, ascending."""
+    out = []
+    while mask:
+        bit = mask & -mask
+        out.append(bit.bit_length() - 1)
+        mask ^= bit
+    return tuple(out)
+
+
 def greedy_independent_set(mu):
     """Grow an independent set greedily, lowest index first."""
-    n = len(mu)
-    chosen = []
-    for v in range(n):
-        if all(not mu[v][u] for u in chosen):
-            chosen.append(v)
-    return tuple(chosen)
+    adj = _bitsets(mu)
+    return _vertices(_greedy_is(adj, (1 << len(adj)) - 1))
 
 
 @dataclass(frozen=True)
 class SolveResult:
     """Outcome of an exact search: the minimum state count, the
-    lexicographically least optimal partition, the number of search nodes
-    explored and the wall-clock seconds spent."""
+    lexicographically least optimal partition, the number of first-fit
+    search nodes explored and the wall-clock seconds spent. For
+    ``solve_msndpfsa``, explored counts only the search that returned the
+    partition: the recovery search at the cover optimum when one ran,
+    otherwise the greedy first pass; the clique-cover search that proves
+    the optimum is not counted."""
 
     optimum: int
     partition: StatePartition
@@ -51,15 +87,22 @@ class SolveResult:
     elapsed: float = 0.0
 
 
-def _first_fit(graph, succ, low, high, visit):
+def _first_fit(adj, succ, low, high, visit):
     """Walk the first-fit assignments in lexicographic order, calling
     ``visit(assign, blocks)`` at each partition into low..high states
-    (deterministic under succ unless succ is None). blocks lists each
-    state's members, ascending; both arguments are live, so visit copies
-    what it keeps. visit returns the new high, and the search stops once
-    high < low. Returns the number of nodes explored."""
-    mu = _adjacency(graph).tolist()
-    n = len(mu)
+    (deterministic under succ unless succ is None). adj holds each
+    vertex's compatible vertices as a bitset (``_bitsets``). blocks lists
+    each state's members, ascending; both arguments are live, so visit
+    copies what it keeps. visit returns the new high, and the search stops
+    once high < low. Returns the number of nodes explored.
+
+    Each open state keeps the bitset of vertices that fit it, so placing a
+    vertex is one bit test. Forward checking prunes a node when the later
+    vertices that fit no open state hold a greedy independent set too large
+    for the states left below high. Like the prune of nodes that cannot
+    reach low states, it cuts only subtrees without a partition to visit,
+    so the visits are those of the plain search."""
+    n = len(adj)
     preds = [[] for _ in range(n)]
     if succ is not None:
         for u in range(n):
@@ -69,6 +112,8 @@ def _first_fit(graph, succ, low, high, visit):
 
     assign = [-1] * n
     members = [[] for _ in range(n)]
+    fit = [0] * n
+    full = (1 << n) - 1
     targets = {}
     explored = 0
 
@@ -77,12 +122,8 @@ def _first_fit(graph, succ, low, high, visit):
             del targets[key]
 
     def place(v, s):
-        """Try to commit v to state s, returning an undo trail or None."""
-        for m in members[s]:
-            if not mu[v][m]:
-                return None
-        if succ is None:
-            return []
+        """Commit v's successor targets to state s, returning an undo
+        trail, or None when s would become non-deterministic."""
         trail = []
 
         def force(state, symbol, target):
@@ -116,17 +157,30 @@ def _first_fit(graph, succ, low, high, visit):
             return
         if used + n - v < low:
             return
+        if used + n - v > high:
+            opened = 0
+            for s in range(used):
+                opened |= fit[s]
+            free = full >> v << v & ~opened
+            if used + free.bit_count() > high and used + _greedy_is(adj, free).bit_count() > high:
+                return
         for s in range(used + 1):
-            if s == used and used >= high:
-                break
-            trail = place(v, s)
+            if s == used:
+                if used >= high:
+                    break
+            elif not fit[s] >> v & 1:
+                continue
+            trail = () if succ is None else place(v, s)
             if trail is None:
                 continue
+            kept = fit[s]
+            fit[s] = adj[v] if s == used else kept & adj[v]
             assign[v] = s
             members[s].append(v)
             recurse(v + 1, used + (s == used))
             members[s].pop()
             assign[v] = -1
+            fit[s] = kept
             undo(trail)
             if used > high or high < low:
                 return
@@ -136,19 +190,31 @@ def _first_fit(graph, succ, low, high, visit):
 
 
 def _solve(graph, succ):
-    """The lexicographically least minimum partition, timed."""
+    """The lexicographically least minimum partition, timed. Without
+    succ the first partition stands when it meets the greedy bound;
+    otherwise the cover proves the optimum k, and the first partition of
+    the search at exactly k states is the lexicographically least one."""
     t0 = time.perf_counter()
-    mu = _adjacency(graph).tolist()
-    n = len(mu)
+    adj = _bitsets(graph)
+    n = len(adj)
     if n == 0:
         raise ValueError("no histories to assign")
-    best = [n + 1, None]
+    low = _greedy_is(adj, (1 << n) - 1).bit_count()
+    best = []
 
     def record(assign, blocks):
         best[:] = len(blocks), tuple(assign)
-        return len(blocks) - 1
+        # with succ, look for fewer states; without, stop here (0 < low)
+        return len(blocks) - 1 if succ is not None else 0
 
-    explored = _first_fit(mu, succ, len(greedy_independent_set(mu)), n, record)
+    explored = _first_fit(adj, succ, low, n, record)
+    if succ is None and best[0] > low:
+        # cliques imports this module, so its searches are imported here
+        from .cliques import bron_kerbosch, min_clique_cover
+
+        k = min_clique_cover(bron_kerbosch(graph), n).optimum
+        if k < best[0]:
+            explored = _first_fit(adj, None, k, k, record)
     W = getattr(graph, "vertices", tuple((i,) for i in range(n)))
     part = StatePartition(tuple(tuple(h) for h in W), best[1])
     return SolveResult(best[0], part, explored, time.perf_counter() - t0)
@@ -163,8 +229,9 @@ def solve_msdpfsa(graph, succ):
 
 
 def solve_msndpfsa(graph):
-    """Minimum states without the determinism requirement. Equals the
-    minimum number of cliques that partition the compatibility graph."""
+    """Minimum states without the determinism requirement: the minimum
+    number of cliques that partition the compatibility graph, which the
+    minimum clique cover proves."""
     return _solve(graph, None)
 
 

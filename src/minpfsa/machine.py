@@ -303,6 +303,7 @@ def from_json(text):
     An optional ``"start"`` field names the start state by its id; without
     it the first state is the start. ``to_json`` does not write the field,
     so a machine read back from its output starts in its first state.
+    Every ``prob`` must be a JSON number in [0, 1].
     """
     try:
         obj = json.loads(text)
@@ -326,6 +327,8 @@ def from_json(text):
             k = id_map[tr["to"]]
             if type(tr["prob"]) not in (int, float):
                 raise FormatError("prob is not a number: %r" % (tr["prob"],))
+            if not 0 <= tr["prob"] <= 1:
+                raise FormatError("prob is not in [0, 1]: %r" % (tr["prob"],))
             delta.setdefault((j, a), set()).add(k)
             prev = probs.get((j, a))
             if prev is not None and prev != tr["prob"]:

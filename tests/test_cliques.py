@@ -8,6 +8,7 @@ import pytest
 from minpfsa import (
     BINARY,
     CoverOverflowError,
+    CoverResult,
     bron_kerbosch,
     check_determinism,
     clique_pipeline,
@@ -130,6 +131,69 @@ def test_min_clique_cover_matches_oracles():
         optimum = min_clique_cover(cliques, n).optimum
         assert optimum == cover_size_oracle(cliques, n)
         assert optimum == brute_force_min_states(mu)
+
+
+def min_clique_cover_reference(cliques, n_vertices, k_upper=None):
+    """The cover search without the independent-set bound: the same greedy
+    incumbent and branch order, cut only when one more clique cannot beat
+    the incumbent."""
+    cliques = [tuple(sorted(c)) for c in cliques]
+    containing = [[] for _ in range(n_vertices)]
+    for ci, c in enumerate(cliques):
+        for v in c:
+            containing[v].append(ci)
+    uncovered = set(range(n_vertices))
+    greedy = []
+    while uncovered:
+        ci = int(np.argmax([len(uncovered & set(c)) for c in cliques]))
+        greedy.append(ci)
+        uncovered -= set(cliques[ci])
+    best = {"count": len(greedy), "chosen": tuple(greedy)}
+    chosen = []
+
+    def recurse(uncovered):
+        if not uncovered:
+            if len(chosen) < best["count"]:
+                best["count"] = len(chosen)
+                best["chosen"] = tuple(chosen)
+            return
+        if len(chosen) + 1 >= best["count"]:
+            return
+        for ci in containing[min(uncovered)]:
+            chosen.append(ci)
+            recurse(uncovered - set(cliques[ci]))
+            chosen.pop()
+
+    recurse(frozenset(range(n_vertices)))
+    cover = tuple(sorted(cliques[ci] for ci in best["chosen"]))
+    assignment = [None] * n_vertices
+    for c in cover:
+        for v in c:
+            if assignment[v] is None:
+                assignment[v] = c
+    return CoverResult(best["count"], cover, tuple(assignment), k_upper)
+
+
+def test_min_clique_cover_matches_reference(instance_pool):
+    # the independent-set bound only cuts branches that cannot beat the
+    # incumbent, so the cover found first, and every field, stay the same;
+    # the clique list is also tried reversed, which changes the branch order
+    # (sparse graphs above 16 vertices take the reference seconds each)
+    rng = np.random.default_rng(31)
+    graphs = [graph.mu for _, graph, _ in instance_pool]
+    for low, high, p_low, p_high in ((10, 25, 0.5, 0.95), (10, 17, 0.15, 0.5)):
+        for _ in range(40):
+            n = int(rng.integers(low, high))
+            graphs.append(random_graph(rng, n, float(rng.uniform(p_low, p_high))))
+    sizes = set()
+    for mu in graphs:
+        n = len(mu)
+        sizes.add(n)
+        cliques = bron_kerbosch(mu)
+        for order in (cliques, cliques[::-1]):
+            want = min_clique_cover_reference(order, n, k_upper=n)
+            assert min_clique_cover(order, n, k_upper=n) == want, mu.tolist()
+    assert {10, 24} <= sizes
 
 
 def test_enumerate_exact_covers_fixture(fixture_graph):

@@ -15,6 +15,8 @@ from minpfsa import (
     from_text,
     from_tokens,
     greedy_independent_set,
+    random_machine,
+    sample,
     solve_msdpfsa,
     solve_msndpfsa,
     succ_table,
@@ -206,6 +208,38 @@ def test_searches_return_lex_least_optimum(fixture_graph, fixture_succ):
         mu = graph.mu.tolist()
         assert solve_msdpfsa(graph, succ).partition.assign == lex_least_oracle(mu, succ)
         assert solve_msndpfsa(graph).partition.assign == lex_least_oracle(mu)
+
+
+# (seed, source states, symbols, histories, optimum, sha256 of repr(assign))
+# for binary sources at L = 6, recorded with the search that started at the
+# greedy independent-set bound and proved each optimum by exhausting every
+# smaller partition (0.0–6.3 s each); in all but the last two the greedy
+# bound falls short of the optimum, so the clique cover proves it
+ND_PARTITION_SHA256 = [
+    (0, 5, 20000, 64, 5, "f0b18e9999edd8572c47cdbd5ce2c6d9329ef3888d33c4bb0e2a603a2d01ebee"),
+    (3, 5, 2000, 64, 4, "0becede75fbb5892caa5accbddca0e053fde60cabe5f48a32c82b411515c4d5b"),
+    (4, 2, 2000, 57, 5, "bcea97ac7e9be8d68e0e26fa921750ff1076aa9f405cb6b7c13202a54ae672e3"),
+    (5, 3, 6000, 64, 5, "dcfac763195535d89920fb632cdea3cad02b5e6b97362bf8a35eec87667e662c"),
+    (6, 5, 2000, 64, 5, "f280a05bc0de85b5e86055587ea323e1ead0c5e94519c9e19806e4df7d596281"),
+    (4, 8, 20000, 64, 8, "c442c28661e98f1156b481a6b960beaeb092b62bb4c219767d76666e432ad16c"),
+    (7, 3, 20000, 64, 6, "b62f59a4ae8eabb46d481fba7c9c09b9a227d8f9d315b23753f10394237fe0e0"),
+    (5, 5, 6000, 64, 5, "c1ba31687abf7f444e98e23ebc884b354a99bf83e8a1d9ac650dcad092ae6107"),
+    (2, 2, 2000, 52, 3, "e18cf4e20980e10accaa55a9e8a973032137562ceb663d2bb2c51751e6a00fc8"),
+]
+
+
+@pytest.mark.parametrize("seed, states, length, n, optimum, digest", ND_PARTITION_SHA256,
+                         ids=["s%d-q%d-%d" % case[:3] for case in ND_PARTITION_SHA256])
+def test_nondeterministic_partition_bytes(seed, states, length, n, optimum, digest):
+    key = [seed, 2, states, length]
+    source = random_machine(np.random.default_rng(key), states, BINARY)
+    graph = compatibility_graph(count_windows(sample(source, length, key), 6))
+    assert len(graph.vertices) == n
+    bound = len(greedy_independent_set(graph.mu.tolist()))
+    assert (bound < optimum) == ((seed, states) not in ((5, 5), (2, 2)))
+    res = solve_msndpfsa(graph)
+    assert res.optimum == optimum
+    assert hashlib.sha256(repr(res.partition.assign).encode()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------

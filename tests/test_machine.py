@@ -431,6 +431,23 @@ def test_from_json_rejects_non_number_prob(prob):
         from_json(json.dumps(obj))
 
 
+@pytest.mark.parametrize("prob", [float("nan"), -0.5, -1e-300, 1.0000001, 7, float("inf")])
+def test_from_json_rejects_prob_outside_unit_interval(prob):
+    m = PFSA(BINARY, ((), ()), {(0, 0): frozenset([1])}, {(0, 0): 1.0})
+    obj = json.loads(to_json(m))
+    obj["transitions"][0]["prob"] = prob
+    with pytest.raises(FormatError, match="prob is not in"):
+        from_json(json.dumps(obj))
+
+
+@pytest.mark.parametrize("prob", [0, 0.0, 1, 1.0])
+def test_from_json_accepts_unit_interval_ends(prob):
+    m = PFSA(BINARY, ((), ()), {(0, 0): frozenset([1])}, {(0, 0): 1.0})
+    obj = json.loads(to_json(m))
+    obj["transitions"][0]["prob"] = prob
+    assert from_json(json.dumps(obj)).probs[(0, 0)] == prob
+
+
 def test_from_json_rejects_duplicate_state_id():
     m = PFSA(BINARY, ((), ()), {(0, 0): frozenset([1])}, {(0, 0): 1.0})
     obj = json.loads(to_json(m))
