@@ -11,8 +11,10 @@ forward checking cuts the branches whose unplaceable histories need too
 many new states. The solvers return the lexicographically least optimum.
 ``solve_msdpfsa`` bounds the search below by a greedy independent set.
 ``solve_msndpfsa`` keeps the first partition when it meets that bound;
-otherwise ``cliques.min_clique_cover`` proves the optimum k and the
-search at exactly k states recovers the partition.
+otherwise ``cliques.min_clique_cover`` proves the optimum k and
+``_recover`` builds the lexicographically least k-partition history by
+history, asking a DSATUR-style completion search whether each choice
+still leaves one.
 
 ``build_ip_model`` states the problem as a 0/1 integer program and
 ``to_lp_text`` writes it; ``oracles.solve_ip_model`` solves that text.
@@ -77,9 +79,10 @@ class SolveResult:
     lexicographically least optimal partition, the number of first-fit
     search nodes explored and the wall-clock seconds spent. For
     ``solve_msndpfsa``, explored counts only the search that returned the
-    partition: the recovery search at the cover optimum when one ran,
-    otherwise the greedy first pass; the clique-cover search that proves
-    the optimum is not counted."""
+    partition: the completion-search nodes of ``_recover`` when the
+    cover optimum was below the first partition, otherwise the first-fit
+    pass; the clique-cover search that proves the optimum is not
+    counted."""
 
     optimum: int
     partition: StatePartition
@@ -189,11 +192,112 @@ def _first_fit(adj, succ, low, high, visit):
     return explored
 
 
+def _recover(adj, k):
+    """The lexicographically least first-fit partition into k cliques,
+    when k is the fewest possible, and the number of completion-search
+    nodes explored.
+
+    Each history takes the lowest state that still leaves a completion:
+    the open states, each with the bitset of vertices that fit it, plus
+    at most k minus the open count new states must take every later
+    vertex. The completion search branches, DSATUR-like, on a vertex with
+    the fewest states it fits, places a vertex that fits no open state in
+    a new one without branching, and fails when those vertices hold a
+    greedy independent set larger than the new states left. It remembers
+    the subproblems that failed. A completion found is kept as a witness:
+    a history takes its witness state without a new search, so only the
+    lower states it fits are searched."""
+    n = len(adj)
+    explored = 0
+    label = [0] * n  # the index in fits of each vertex's state on the current path
+    failed = set()
+
+    def complete(fits, rest, spare):
+        nonlocal explored
+        explored += 1
+        if not rest:
+            return True
+        key = (rest, spare, tuple(sorted(f & rest for f in fits if f & rest)))
+        if key in failed:
+            return False
+        once = twice = thrice = 0
+        for f in fits:
+            thrice |= twice & f
+            twice |= once & f
+            once |= f
+        zero = rest & ~once
+        ok = False
+        if zero:
+            if spare and _greedy_is(adj, zero).bit_count() <= spare:
+                w = (zero & -zero).bit_length() - 1
+                label[w] = len(fits)
+                fits.append(adj[w])
+                ok = complete(fits, rest & ~(1 << w), spare - 1)
+                fits.pop()
+        else:
+            # the vertices that fit one, two, or three or more open states
+            for fewest in (rest & ~twice, rest & twice & ~thrice, rest & thrice):
+                if fewest:
+                    break
+            w = min(_vertices(fewest), key=lambda u: (adj[u] & rest).bit_count())
+            bit = 1 << w
+            for s, f in enumerate(fits):
+                if f & bit:
+                    label[w] = s
+                    fits[s] = f & adj[w]
+                    ok = complete(fits, rest & ~bit, spare)
+                    fits[s] = f
+                    if ok:
+                        break
+            if not ok and spare:
+                label[w] = len(fits)
+                fits.append(adj[w])
+                ok = complete(fits, rest & ~bit, spare - 1)
+                fits.pop()
+        if not ok:
+            failed.add(key)
+        return ok
+
+    assign = [-1] * n
+    fits = []
+    witness = None
+    rest = (1 << n) - 1
+    for v in range(n):
+        bit = 1 << v
+        rest &= ~bit
+        used = len(fits)
+        for s in range(min(used + 1, k)):
+            if s < used and not fits[s] & bit:
+                continue
+            # the witness puts v in state s, or in a state not open yet
+            if witness is None or witness[v] != s and not (s == used <= witness[v]):
+                trial = fits[:]
+                if s < used:
+                    trial[s] &= adj[v]
+                else:
+                    trial.append(adj[v])
+                if not complete(trial, rest, k - len(trial)):
+                    continue
+                witness = label[:]
+                witness[v] = s
+            if s == used:
+                # the witness's states from used on are not open yet: swap
+                # the one v takes with the one the first fit numbers s
+                t = witness[v]
+                witness = [s if x == t else t if x == s else x for x in witness]
+                fits.append(adj[v])
+            else:
+                fits[s] &= adj[v]
+            assign[v] = s
+            break
+    return tuple(assign), explored
+
+
 def _solve(graph, succ):
     """The lexicographically least minimum partition, timed. Without
     succ the first partition stands when it meets the greedy bound;
-    otherwise the cover proves the optimum k, and the first partition of
-    the search at exactly k states is the lexicographically least one."""
+    otherwise the cover proves the optimum k, and ``_recover`` finds the
+    lexicographically least partition into k cliques."""
     t0 = time.perf_counter()
     adj = _bitsets(graph)
     n = len(adj)
@@ -214,7 +318,8 @@ def _solve(graph, succ):
 
         k = min_clique_cover(bron_kerbosch(graph), n).optimum
         if k < best[0]:
-            explored = _first_fit(adj, None, k, k, record)
+            assign, explored = _recover(adj, k)
+            best[:] = k, assign
     W = getattr(graph, "vertices", tuple((i,) for i in range(n)))
     part = StatePartition(tuple(tuple(h) for h in W), best[1])
     return SolveResult(best[0], part, explored, time.perf_counter() - t0)

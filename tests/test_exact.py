@@ -22,6 +22,8 @@ from minpfsa import (
     succ_table,
     to_lp_text,
 )
+from minpfsa.cliques import bron_kerbosch, min_clique_cover
+from minpfsa.exact import _bitsets, _first_fit, _recover
 from minpfsa.oracles import brute_force_min_states, lp_rows, solve_ip_model
 from tests.conftest import make_instances
 
@@ -240,6 +242,53 @@ def test_nondeterministic_partition_bytes(seed, states, length, n, optimum, dige
     res = solve_msndpfsa(graph)
     assert res.optimum == optimum
     assert hashlib.sha256(repr(res.partition.assign).encode()).hexdigest() == digest
+
+
+def test_recover_matches_first_fit_search():
+    # the first partition the first-fit search visits at exactly the cover
+    # optimum is the lexicographically least one
+    rng = np.random.default_rng(41)
+    below = 0
+    for _ in range(150):
+        n = int(rng.integers(8, 23))
+        mu = rng.random((n, n)) < rng.uniform(0.15, 0.9)
+        mu = np.logical_or(mu, mu.T)
+        np.fill_diagonal(mu, True)
+        adj = _bitsets(mu)
+        k = min_clique_cover(bron_kerbosch(mu), n).optimum
+        first = []
+        _first_fit(adj, None, k, k, lambda assign, blocks: first.append(tuple(assign)) or -1)
+        assert _recover(adj, k)[0] == first[0]
+        # the first partition of the plain first fit, which the solver
+        # keeps unless the cover proves fewer states
+        greedy = []
+        _first_fit(adj, None, 1, n, lambda assign, blocks: greedy.append(len(blocks)) or 0)
+        below += k < greedy[0]
+    assert below >= 50  # 65 of the 150 graphs take the recovery
+
+
+# (key of a four-symbol source at L = 3, histories, optimum): graphs whose
+# cover optimum the former recovery, the first-fit search at exactly that
+# many states, did not reach in 20 s
+FOUR_SYMBOL_HARD = [([2, 4, 8000], 64, 11), ([3, 4, 8000], 64, 11),
+                    ([5, 3, 8000], 64, 10), ([14, 4, 3000], 64, 8)]
+
+
+@pytest.mark.parametrize("key, n, optimum", FOUR_SYMBOL_HARD,
+                         ids=["s%d-q%d-%d" % tuple(case[0]) for case in FOUR_SYMBOL_HARD])
+def test_nondeterministic_partition_is_clique_partition(key, n, optimum):
+    source = random_machine(np.random.default_rng(key), key[1], Alphabet(tuple("0123")))
+    graph = compatibility_graph(count_windows(sample(source, key[2], key), 3))
+    assert len(graph.vertices) == n
+    res = solve_msndpfsa(graph)
+    assert res.optimum == optimum == max(res.partition.assign) + 1
+    blocks = {}
+    for v, s in enumerate(res.partition.assign):
+        blocks.setdefault(s, []).append(v)
+    # first-fit numbering: state s opens before state s + 1
+    assert [b[0] for b in blocks.values()] == sorted(b[0] for b in blocks.values())
+    for block in blocks.values():
+        assert graph.mu[np.ix_(block, block)].all()
 
 
 # ---------------------------------------------------------------------------
