@@ -14,13 +14,14 @@ command line usage errors.
 """
 
 import argparse
+import contextlib
 import sys
 
 from .bench import METHODS, BenchConfig, parse_bench_config, run_bench, write_csv
 from .cliques import clique_pipeline
 from .cssr import cssr
 from .errors import MinpfsaError
-from .exact import build_ip_model, solve_msdpfsa, to_lp_text
+from .exact import build_ip_model, solve_msdpfsa, write_lp
 from .machine import build_machine, to_dot, to_json
 from .sequences import count_windows, gen_fixture, parse_sequence, succ_table
 from .stat_tests import TESTS, TestConfig, compatibility_graph
@@ -35,12 +36,19 @@ def _read_sequence(path, tokens=False):
     return parse_sequence(text, "tokens" if tokens else "chars")
 
 
-def _write(path, text):
+@contextlib.contextmanager
+def _output(path):
+    """The text file to write: stdout for -, else path opened for writing."""
     if path == "-":
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
         with open(path, "w") as fh:
-            fh.write(text)
+            yield fh
+
+
+def _write(path, text):
+    with _output(path) as fh:
+        fh.write(text)
 
 
 def _alpha(text):
@@ -105,7 +113,8 @@ def cmd_infer(args):
         if graph is None:
             graph = compatibility_graph(wc, cfg)
         model = build_ip_model(graph, succ_table(wc, graph.vertices))
-        _write(args.lp, to_lp_text(model))
+        with _output(args.lp) as fh:
+            write_lp(model, fh)
     return 0
 
 
@@ -132,11 +141,8 @@ def cmd_bench(args):
     rows = run_bench(config)
     meta = "sources: random 2-4 state machines, seed=%d, test=%s, L=%d" % (
         config.seed, config.test, config.L)
-    if args.out == "-":
-        write_csv(rows, sys.stdout, meta=meta)
-    else:
-        with open(args.out, "w") as fh:
-            write_csv(rows, fh, meta=meta)
+    with _output(args.out) as fh:
+        write_csv(rows, fh, meta=meta)
     return 0
 
 

@@ -16,8 +16,11 @@ otherwise ``cliques.min_clique_cover`` proves the optimum k and
 history, asking a DSATUR-style completion search whether each choice
 still leaves one.
 
-``build_ip_model`` states the problem as a 0/1 integer program and
-``to_lp_text`` writes it; ``oracles.solve_ip_model`` solves that text.
+``build_ip_model`` states the problem as a 0/1 integer program.
+``to_lp_text`` returns its LP text and ``write_lp`` writes the same text
+to a file block by block; both copy each symbol's transition rows, and
+the compatibility rows, from a template formatted once with placeholders
+for the history indices. ``oracles.solve_ip_model`` solves that text.
 """
 
 import time
@@ -352,7 +355,7 @@ class IPModel:
     transition from state j to state k on symbol a, p[j] marks state j as
     used. z[a][i] are constants: the observed shift-append successor of
     history i under a, or None. The objective is the sum of p. The rows
-    are defined by the LP text that ``to_lp_text`` writes: the variables
+    are defined by the LP text that ``to_lp_text`` returns: the variables
     are named ``x_i_j``, ``y_a_j_k`` and ``p_j``, the rows ``assign_i``,
     ``trans_a_i_j_k``, ``det_j_a``, ``compat_i_l_j`` and ``open_j``.
 
@@ -398,42 +401,66 @@ def build_ip_model(graph, succ, deterministic=True):
     return IPModel(n, m, tuple(map(tuple, mu.tolist())), z, deterministic)
 
 
-def to_lp_text(model):
-    """Serialize the model in LP format, family by family in the order
-    of the IPModel docstring, from tables of the variable names.
-    Transition rows build their name prefix and x[i][j] term once per j."""
+# Placeholders for the history indices i and l in the row templates: LP
+# text never contains a control character.
+_I, _L = "\0", "\1"
+
+
+def _lp_blocks(model):
+    """The LP text of the model as a sequence of blocks, family by family
+    in the order of the IPModel docstring.
+
+    Each symbol's n * n transition rows are formatted once, as a template
+    with placeholders for i and l, so each observed successor costs two
+    substitutions; a self-successor takes a second template whose j == k
+    rows carry coefficient 2. The compatibility rows of each incompatible
+    pair come from one template over j in the same way."""
     n, m, r = model.n, model.n_symbols, range(model.n)
     x = [["x_%d_%d" % (i, j) for j in r] for i in r]
     y = [[["y_%d_%d_%d" % (a, j, k) for k in r] for j in r]
          for a in range(m if model.deterministic else 0)]
     p = ["p_%d" % j for j in r]
-    out = ["Minimize\n obj: ", " + ".join(p), "\nSubject To\n"]
-    out += [" assign_%d: %s = 1\n" % (i, " + ".join(x[i])) for i in r]
-    if model.deterministic:
-        ks = ["%d: " % k for k in r]
-        x_minus = [[v + " - " for v in row] for row in x]
-        y_le = [[[v + " <= 1\n" for v in row] for row in plane] for plane in y]
-        for a in range(m):
-            for i, l in enumerate(model.z[a]):
-                if l is None:
-                    continue
+    yield "Minimize\n obj: %s\nSubject To\n" % " + ".join(p)
+    yield "".join(" assign_%d: %s = 1\n" % (i, " + ".join(x[i])) for i in r)
+    for a, plane in enumerate(y):
+        rows = [" trans_%d_%s_%d_%d: x_%s_%d + x_%s_%d - %s <= 1\n"
+                % (a, _I, j, k, _I, j, _L, k, plane[j][k]) for j in r for k in r]
+        pair, own = "".join(rows), None
+        for i, l in enumerate(model.z[a]):
+            if l is None:
+                continue
+            if l != i:
+                yield pair.replace(_I, str(i)).replace(_L, str(l))
+                continue
+            if own is None:
                 for j in r:
-                    head = " trans_%d_%d_%d_" % (a, i, j)
-                    mid = x[i][j] + " + "
-                    rows = [head + k + mid + xk + yk
-                            for k, xk, yk in zip(ks, x_minus[l], y_le[a][j])]
-                    if i == l:
-                        rows[j] = "%s%d: 2 %s - %s" % (head, j, x[i][j], y_le[a][j][j])
-                    out += rows
-        out += [" det_%d_%d: %s <= 1\n" % (j, a, " + ".join(y[a][j]))
-                for j in r for a in range(m)]
+                    rows[j * n + j] = " trans_%d_%s_%d_%d: 2 x_%s_%d - %s <= 1\n" % (
+                        a, _I, j, j, _I, j, plane[j][j])
+                own = "".join(rows).replace(_L, _I)
+            yield own.replace(_I, str(i))
+    if y:
+        yield "".join(" det_%d_%d: %s <= 1\n" % (j, a, " + ".join(y[a][j]))
+                      for j in r for a in range(m))
+    compat = "".join(" compat_%s_%s_%d: x_%s_%d + x_%s_%d <= 1\n" % (_I, _L, j, _I, j, _L, j)
+                     for j in r)
     for i in r:
         for l in range(i + 1, n):
             if not model.mu[i][l]:
-                out += [" compat_%d_%d_%d: %s + %s <= 1\n" % (i, l, j, x[i][j], x[l][j])
-                        for j in r]
+                yield compat.replace(_I, str(i)).replace(_L, str(l))
     coef = "" if n == 1 else "%d " % n
-    out += [" open_%d: %s - %s%s <= 0\n" % (j, " + ".join(row[j] for row in x), coef, p[j]) for j in r]
+    yield "".join(" open_%d: %s - %s%s <= 0\n" % (j, " + ".join(row[j] for row in x), coef, p[j])
+                  for j in r)
     binary = [v for row in x for v in row] + [v for pl in y for row in pl for v in row] + p
-    out.append("Binary\n %s\nEnd\n" % "\n ".join(binary))
-    return "".join(out)
+    yield "Binary\n %s\nEnd\n" % "\n ".join(binary)
+
+
+def to_lp_text(model):
+    """Serialize the model in LP format: the blocks of ``write_lp``, joined."""
+    return "".join(_lp_blocks(model))
+
+
+def write_lp(model, fh):
+    """Write the model's LP text to the text file fh block by block, so the
+    whole text is never held at once. The bytes are those of
+    ``to_lp_text``."""
+    fh.writelines(_lp_blocks(model))

@@ -205,7 +205,7 @@ def successor(history, symbol):
     is in after emitting a from history x.
     """
     h = tuple(history)
-    return h[1:] + (int(symbol),)
+    return h[1:] + (int(symbol),) if h else ()
 
 
 def succ_table(wc, W):

@@ -15,14 +15,19 @@ from minpfsa import (
     CSV_HEADER,
     FormatError,
     TestConfig,
+    build_ip_model,
     build_machine,
     compatibility_graph,
     count_windows,
     cssr_split,
     gen_fixture,
     parse_bench_config,
+    parse_sequence,
     random_machine,
     run_bench,
+    sample,
+    succ_table,
+    to_lp_text,
     write_csv,
 )
 from minpfsa import bench
@@ -251,6 +256,15 @@ def test_cli_infer_methods_agree_on_fixture(fixture_file, capsys):
     assert counts == {"cssr": 4, "ip": 3, "clique": 3}
 
 
+@pytest.mark.parametrize("method", ["cssr", "ip", "clique"])
+def test_infer_at_L0_is_one_state_looping_on_each_symbol(method):
+    wc = count_windows(parse_sequence("0110201101", "chars"), 0)
+    machine, _ = infer(wc, method, TestConfig())
+    assert machine.states == (((),),)
+    assert machine.delta == {(0, a): frozenset({0}) for a in range(3)}
+    assert len(sample(machine, 50, seed=1)) == 50
+
+
 @pytest.mark.parametrize("method", ["ip", "clique"])
 def test_cli_infer_lp_runs_each_step_once(method, fixture_file, tmp_path, monkeypatch):
     calls = Counter()
@@ -270,6 +284,33 @@ def test_cli_infer_lp_runs_each_step_once(method, fixture_file, tmp_path, monkey
     ])
     assert code == 0
     assert calls == {"compatibility_graph": 1, "build_machine": 1}
+
+
+@pytest.fixture()
+def wide_file(tmp_path):
+    """1500 symbols of a 3-state source over three symbols."""
+    source = random_machine(np.random.default_rng(0), 3, Alphabet(("0", "1", "2")))
+    path = tmp_path / "wide.txt"
+    path.write_text(sample(source, 1500, 0).text() + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("source,L,n", [("fixture_file", 2, 4), ("wide_file", 3, 27)])
+def test_cli_lp_is_the_model_text(source, L, n, request, tmp_path, capsys):
+    path = request.getfixturevalue(source)
+    with open(path) as fh:
+        wc = count_windows(parse_sequence(fh.read(), "chars"), L)
+    graph = compatibility_graph(wc, TestConfig())
+    assert len(graph.vertices) == n
+    expect = to_lp_text(build_ip_model(graph, succ_table(wc, graph.vertices))).splitlines(True)
+    argv = ["infer", "--in", path, "--method", "ip", "--L", str(L),
+            "--out", str(tmp_path / "machine.json"), "--lp"]
+    lp = tmp_path / "model.lp"
+    assert main(argv + [str(lp)]) == 0
+    assert lp.read_text().splitlines(True) == expect
+    capsys.readouterr()
+    assert main(argv + ["-"]) == 0
+    assert capsys.readouterr().out.splitlines(True) == expect
 
 
 def test_cli_graph(fixture_file, capsys):

@@ -1,6 +1,7 @@
 """Branch-and-bound searches, the partition oracle and the IP view."""
 
 import hashlib
+import io
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from minpfsa import (
     BINARY,
     Alphabet,
+    IPModel,
     TooLargeForOracleError,
     build_ip_model,
     compatibility_graph,
@@ -21,6 +23,7 @@ from minpfsa import (
     solve_msndpfsa,
     succ_table,
     to_lp_text,
+    write_lp,
 )
 from minpfsa.cliques import bron_kerbosch, min_clique_cover
 from minpfsa.exact import _bitsets, _first_fit, _recover
@@ -457,3 +460,88 @@ def test_lp_text_bytes_wide(deterministic):
     assert any(row[a] == i for i, row in enumerate(succ) for a in range(3))
     assert not graph.mu.all()
     assert _lp_sha256(graph, succ, deterministic) == WIDE_LP_SHA256[deterministic]
+
+
+def _reference_lp(model):
+    """The LP text of the model formatted one row at a time, straight from
+    the IPModel docstring: the oracle for the template writer."""
+    n, m, r = model.n, model.n_symbols, range(model.n)
+
+    def x(i, j):
+        return "x_%d_%d" % (i, j)
+
+    def y(a, j, k):
+        return "y_%d_%d_%d" % (a, j, k)
+
+    lines = ["Minimize", " obj: " + " + ".join("p_%d" % j for j in r), "Subject To"]
+    lines += [" assign_%d: %s = 1" % (i, " + ".join(x(i, j) for j in r)) for i in r]
+    if model.deterministic:
+        for a in range(m):
+            for i, l in enumerate(model.z[a]):
+                if l is None:
+                    continue
+                for j in r:
+                    for k in r:
+                        if i == l and j == k:
+                            lhs = "2 %s - %s" % (x(i, j), y(a, j, j))
+                        else:
+                            lhs = "%s + %s - %s" % (x(i, j), x(l, k), y(a, j, k))
+                        lines.append(" trans_%d_%d_%d_%d: %s <= 1" % (a, i, j, k, lhs))
+        lines += [" det_%d_%d: %s <= 1" % (j, a, " + ".join(y(a, j, k) for k in r))
+                  for j in r for a in range(m)]
+    for i in r:
+        for l in range(i + 1, n):
+            if not model.mu[i][l]:
+                lines += [" compat_%d_%d_%d: %s + %s <= 1" % (i, l, j, x(i, j), x(l, j))
+                          for j in r]
+    coef = "" if n == 1 else "%d " % n
+    lines += [" open_%d: %s - %sp_%d <= 0" % (j, " + ".join(x(i, j) for i in r), coef, j)
+              for j in r]
+    lines.append("Binary")
+    lines += [" " + x(i, j) for i in r for j in r]
+    if model.deterministic:
+        lines += [" " + y(a, j, k) for a in range(m) for j in r for k in r]
+    lines += [" p_%d" % j for j in r]
+    lines.append("End")
+    return "\n".join(lines) + "\n"
+
+
+def _random_ip_model(rng, n, deterministic):
+    """Three symbols and up to ten observed successors, each a shared
+    target, the history itself or any history; then one history succeeds
+    itself under symbols 0 and 1, and the first and last histories share a
+    successor under symbol 2. Every other successor is missing."""
+    m = 3
+    mu = np.triu(rng.random((n, n)) < 0.7, 1)
+    mu = mu | mu.T | np.eye(n, dtype=bool)
+    z = [[None] * n for _ in range(m)]
+    shared = int(rng.integers(n))
+    for cell in rng.choice(n * m, size=min(n * m, 10), replace=False):
+        a, i = divmod(int(cell), n)
+        z[a][i] = (shared, i, int(rng.integers(n)))[int(rng.integers(3))]
+    own = int(rng.integers(n))
+    z[0][own] = z[1][own] = own
+    z[2][0] = z[2][n - 1] = shared
+    return IPModel(n, m, tuple(map(tuple, mu.tolist())), tuple(map(tuple, z)), deterministic)
+
+
+def test_reference_lp_matches_pinned_bytes(fixture_graph, fixture_succ):
+    for deterministic, digest in FIXTURE_LP_SHA256.items():
+        text = _reference_lp(build_ip_model(fixture_graph, fixture_succ, deterministic))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("deterministic", [True, False])
+@pytest.mark.parametrize("n", [1, 2, 11, 27, 101])
+def test_lp_writers_match_row_by_row_reference(n, deterministic):
+    rng = np.random.default_rng(n)
+    for _ in range(3 if n < 100 else 1):
+        model = _random_ip_model(rng, n, deterministic)
+        if n > 2:
+            assert any(l is None for row in model.z for l in row)
+            assert not all(map(all, model.mu))
+        expect = _reference_lp(model).splitlines(True)
+        assert to_lp_text(model).splitlines(True) == expect
+        fh = io.StringIO()
+        write_lp(model, fh)
+        assert fh.getvalue().splitlines(True) == expect

@@ -274,6 +274,8 @@ def test_successor_examples():
     assert successor((0, 1), 1) == (1, 1)
     assert successor((1, 0), 0) == (0, 0)
     assert successor((0, 0), 0) == (0, 0)
+    # the empty history is its own successor under every symbol
+    assert successor((), 1) == ()
 
 
 @settings(max_examples=50, deadline=None)
