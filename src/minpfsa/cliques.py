@@ -6,8 +6,9 @@ cliques, enumerate every partition into that many cliques with the
 first-fit search of ``exact._first_fit``, make each deterministic by
 successor-signature splitting, and build the smallest result. The
 clique searches work on int bitsets of vertices; the cover search is
-bounded below by a greedy independent set of the uncovered vertices,
-and its optimum is also what ``exact.solve_msndpfsa`` takes as proven.
+bounded below by a greedy independent set of the uncovered vertices.
+``exact.solve_msndpfsa`` proves the same optimum by its own completion
+search, so each of the two checks the other.
 """
 
 from dataclasses import dataclass

@@ -3,18 +3,15 @@
 ``solve_msdpfsa`` finds the fewest states of a deterministic machine
 consistent with the compatibility relation and the successor table;
 ``solve_msndpfsa`` drops determinism, which makes the problem clique
-partitioning. Both, and ``cliques.enumerate_exact_covers``, run one
-first-fit search (``_first_fit``) on int bitsets of the compatibility
-graph: history i may only open the lowest unused state, so each
-partition is visited once, in lexicographic assignment order, and
+partitioning. Both work on int bitsets of the compatibility graph and
+return the lexicographically least optimum. ``solve_msdpfsa``, and
+``cliques.enumerate_exact_covers``, run a first-fit search
+(``_first_fit``): history i may only open the lowest unused state, so
+each partition is visited once, in lexicographic assignment order, and
 forward checking cuts the branches whose unplaceable histories need too
-many new states. The solvers return the lexicographically least optimum.
-``solve_msdpfsa`` bounds the search below by a greedy independent set.
-``solve_msndpfsa`` keeps the first partition when it meets that bound;
-otherwise ``cliques.min_clique_cover`` proves the optimum k and
-``_recover`` builds the lexicographically least k-partition history by
-history, asking a DSATUR-style completion search whether each choice
-still leaves one.
+many new states. ``solve_msndpfsa`` runs a DSATUR-style completion
+search (``_clique_partition``) that proves the fewest cliques k, then
+builds the k-partition history by history.
 
 ``build_ip_model`` states the problem as a 0/1 integer program.
 ``to_lp_text`` returns its LP text and ``write_lp`` writes the same text
@@ -79,13 +76,10 @@ def greedy_independent_set(mu):
 @dataclass(frozen=True)
 class SolveResult:
     """Outcome of an exact search: the minimum state count, the
-    lexicographically least optimal partition, the number of first-fit
-    search nodes explored and the wall-clock seconds spent. For
-    ``solve_msndpfsa``, explored counts only the search that returned the
-    partition: the completion-search nodes of ``_recover`` when the
-    cover optimum was below the first partition, otherwise the first-fit
-    pass; the clique-cover search that proves the optimum is not
-    counted."""
+    lexicographically least optimal partition, the number of search nodes
+    explored and the wall-clock seconds spent. Those are first-fit nodes
+    for ``solve_msdpfsa`` and, for ``solve_msndpfsa``, proof plus recovery
+    nodes of the completion search."""
 
     optimum: int
     partition: StatePartition
@@ -195,21 +189,23 @@ def _first_fit(adj, succ, low, high, visit):
     return explored
 
 
-def _recover(adj, k):
-    """The lexicographically least first-fit partition into k cliques,
-    when k is the fewest possible, and the number of completion-search
-    nodes explored.
+def _clique_partition(adj):
+    """The fewest cliques k that partition the graph, the lexicographically
+    least first-fit partition into k cliques, and the number of
+    completion-search nodes explored.
 
-    Each history takes the lowest state that still leaves a completion:
-    the open states, each with the bitset of vertices that fit it, plus
-    at most k minus the open count new states must take every later
-    vertex. The completion search branches, DSATUR-like, on a vertex with
-    the fewest states it fits, places a vertex that fits no open state in
-    a new one without branching, and fails when those vertices hold a
-    greedy independent set larger than the new states left. It remembers
-    the subproblems that failed. A completion found is kept as a witness:
-    a history takes its witness state without a new search, so only the
-    lower states it fits are searched."""
+    The completion search asks whether the open states, each with the
+    bitset of vertices that fit it, plus ``spare`` new states can take the
+    other vertices. A vertex that fits no open state takes a new one, and
+    the search fails when those vertices hold a greedy independent set
+    larger than spare. Otherwise it places, DSATUR-like, a vertex that
+    fits the fewest open states in each of them in turn, then in a new
+    one. It remembers the subproblems that failed, for every k. Its first
+    completion from no open state at k = greedy independent-set bound,
+    k + 1, ... proves k and is the first witness. Then each history in
+    turn takes the lowest state that still leaves a completion: its
+    witness state does, so only the lower states it fits are searched,
+    and each completion found is the next witness."""
     n = len(adj)
     explored = 0
     label = [0] * n  # the index in fits of each vertex's state on the current path
@@ -242,7 +238,9 @@ def _recover(adj, k):
             for fewest in (rest & ~twice, rest & twice & ~thrice, rest & thrice):
                 if fewest:
                     break
-            w = min(_vertices(fewest), key=lambda u: (adj[u] & rest).bit_count())
+            w = (fewest & -fewest).bit_length() - 1  # the lowest, if each fits one state
+            if fewest & twice:
+                w = min(_vertices(fewest), key=lambda u: (adj[u] & rest).bit_count())
             bit = 1 << w
             for s, f in enumerate(fits):
                 if f & bit:
@@ -261,10 +259,14 @@ def _recover(adj, k):
             failed.add(key)
         return ok
 
+    rest = (1 << n) - 1
+    # k = n always completes, so the loop ends there at the latest
+    for k in range(_greedy_is(adj, rest).bit_count(), n + 1):
+        if complete([], rest, k):
+            break
+    witness = label[:]
     assign = [-1] * n
     fits = []
-    witness = None
-    rest = (1 << n) - 1
     for v in range(n):
         bit = 1 << v
         rest &= ~bit
@@ -273,7 +275,7 @@ def _recover(adj, k):
             if s < used and not fits[s] & bit:
                 continue
             # the witness puts v in state s, or in a state not open yet
-            if witness is None or witness[v] != s and not (s == used <= witness[v]):
+            if witness[v] != s and not (s == used <= witness[v]):
                 trial = fits[:]
                 if s < used:
                     trial[s] &= adj[v]
@@ -287,45 +289,27 @@ def _recover(adj, k):
                 # the witness's states from used on are not open yet: swap
                 # the one v takes with the one the first fit numbers s
                 t = witness[v]
-                witness = [s if x == t else t if x == s else x for x in witness]
+                if t != s:
+                    witness = [s if x == t else t if x == s else x for x in witness]
                 fits.append(adj[v])
             else:
                 fits[s] &= adj[v]
             assign[v] = s
             break
-    return tuple(assign), explored
+    return k, tuple(assign), explored
 
 
-def _solve(graph, succ):
-    """The lexicographically least minimum partition, timed. Without
-    succ the first partition stands when it meets the greedy bound;
-    otherwise the cover proves the optimum k, and ``_recover`` finds the
-    lexicographically least partition into k cliques."""
+def _solved(graph, search):
+    """Run ``search(adj)`` on the graph's bitsets, timed, and wrap the
+    optimum, assign vector and node count it returns as a SolveResult."""
     t0 = time.perf_counter()
     adj = _bitsets(graph)
-    n = len(adj)
-    if n == 0:
+    if not adj:
         raise ValueError("no histories to assign")
-    low = _greedy_is(adj, (1 << n) - 1).bit_count()
-    best = []
-
-    def record(assign, blocks):
-        best[:] = len(blocks), tuple(assign)
-        # with succ, look for fewer states; without, stop here (0 < low)
-        return len(blocks) - 1 if succ is not None else 0
-
-    explored = _first_fit(adj, succ, low, n, record)
-    if succ is None and best[0] > low:
-        # cliques imports this module, so its searches are imported here
-        from .cliques import bron_kerbosch, min_clique_cover
-
-        k = min_clique_cover(bron_kerbosch(graph), n).optimum
-        if k < best[0]:
-            assign, explored = _recover(adj, k)
-            best[:] = k, assign
-    W = getattr(graph, "vertices", tuple((i,) for i in range(n)))
-    part = StatePartition(tuple(tuple(h) for h in W), best[1])
-    return SolveResult(best[0], part, explored, time.perf_counter() - t0)
+    k, assign, explored = search(adj)
+    W = getattr(graph, "vertices", tuple((i,) for i in range(len(adj))))
+    part = StatePartition(tuple(tuple(h) for h in W), assign)
+    return SolveResult(k, part, explored, time.perf_counter() - t0)
 
 
 def solve_msdpfsa(graph, succ):
@@ -333,14 +317,26 @@ def solve_msdpfsa(graph, succ):
     compatibility graph and successor table."""
     if succ is None:
         raise ValueError("the deterministic search needs a successor table")
-    return _solve(graph, succ)
+
+    def search(adj):
+        n = len(adj)
+        best = []
+
+        def record(assign, blocks):
+            best[:] = len(blocks), tuple(assign)
+            return len(blocks) - 1
+
+        explored = _first_fit(adj, succ, _greedy_is(adj, (1 << n) - 1).bit_count(), n, record)
+        return best[0], best[1], explored
+
+    return _solved(graph, search)
 
 
 def solve_msndpfsa(graph):
     """Minimum states without the determinism requirement: the minimum
-    number of cliques that partition the compatibility graph, which the
-    minimum clique cover proves."""
-    return _solve(graph, None)
+    number of cliques that partition the compatibility graph, proven and
+    recovered by one completion search (``_clique_partition``)."""
+    return _solved(graph, _clique_partition)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from minpfsa import (
     write_lp,
 )
 from minpfsa.cliques import bron_kerbosch, min_clique_cover
-from minpfsa.exact import _bitsets, _first_fit, _recover
+from minpfsa.exact import _bitsets, _clique_partition, _first_fit
 from minpfsa.oracles import brute_force_min_states, lp_rows, solve_ip_model
 from tests.conftest import make_instances
 
@@ -247,9 +247,9 @@ def test_nondeterministic_partition_bytes(seed, states, length, n, optimum, dige
     assert hashlib.sha256(repr(res.partition.assign).encode()).hexdigest() == digest
 
 
-def test_recover_matches_first_fit_search():
-    # the first partition the first-fit search visits at exactly the cover
-    # optimum is the lexicographically least one
+def test_clique_partition_matches_first_fit_search():
+    # the optimum is the cover's, an independent prover, and the partition
+    # the first one the first-fit search visits at exactly that many states
     rng = np.random.default_rng(41)
     below = 0
     for _ in range(150):
@@ -261,9 +261,10 @@ def test_recover_matches_first_fit_search():
         k = min_clique_cover(bron_kerbosch(mu), n).optimum
         first = []
         _first_fit(adj, None, k, k, lambda assign, blocks: first.append(tuple(assign)) or -1)
-        assert _recover(adj, k)[0] == first[0]
-        # the first partition of the plain first fit, which the solver
-        # keeps unless the cover proves fewer states
+        assert _clique_partition(adj)[:2] == (k, first[0])
+        # the first partition of the plain first fit: where it has more
+        # than k states, the lexicographically least k-partition is not
+        # the greedy one
         greedy = []
         _first_fit(adj, None, 1, n, lambda assign, blocks: greedy.append(len(blocks)) or 0)
         below += k < greedy[0]
@@ -271,10 +272,12 @@ def test_recover_matches_first_fit_search():
 
 
 # (key of a four-symbol source at L = 3, histories, optimum): graphs whose
-# cover optimum the former recovery, the first-fit search at exactly that
-# many states, did not reach in 20 s
+# cover optimum the first-fit search at exactly that many states did not
+# reach in 20 s (the first four), and graphs whose optimum the minimum
+# clique cover took seconds to minutes to prove (the last two)
 FOUR_SYMBOL_HARD = [([2, 4, 8000], 64, 11), ([3, 4, 8000], 64, 11),
-                    ([5, 3, 8000], 64, 10), ([14, 4, 3000], 64, 8)]
+                    ([5, 3, 8000], 64, 10), ([14, 4, 3000], 64, 8),
+                    ([1, 4, 8000], 64, 6), ([2, 4, 3000], 64, 8)]
 
 
 @pytest.mark.parametrize("key, n, optimum", FOUR_SYMBOL_HARD,
