@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Tour of the clique layer that powers the cover pipeline.
+"""Tour of the clique layer around the cover pipeline.
 
 Starts from the example sequence's compatibility graph and walks through
-maximal-clique enumeration, the exact minimum cover, enumeration of all
-exact covers at the optimum, and the deterministic reconstruction of
+maximal-clique enumeration and the exact minimum cover (the independent
+check of the pipeline's optimum), then the pipeline's enumeration of all
+exact covers at the optimum and the deterministic reconstruction of
 each. Ends with the same problem expressed as an explicit 0/1 integer
 program, solvable by any LP/IP solver that reads LP text.
 """

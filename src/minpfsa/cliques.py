@@ -1,20 +1,22 @@
 """Maximal cliques, exact minimum clique cover and the cover pipeline.
 
 The pipeline follows the reduction of the non-deterministic problem to
-clique partitioning: cover the histories with the fewest maximal
-cliques, enumerate every partition into that many cliques with the
-first-fit search of ``exact._first_fit``, make each deterministic by
-successor-signature splitting, and build the smallest result. The
-clique searches work on int bitsets of vertices; the cover search is
-bounded below by a greedy independent set of the uncovered vertices.
-``exact.solve_msndpfsa`` proves the same optimum by its own completion
-search, so each of the two checks the other.
+clique partitioning: take the fewest cliques that partition the
+histories from ``exact.solve_msndpfsa``, enumerate every partition into
+that many cliques with the same completion search
+(``exact._clique_partitions``), make each deterministic by
+successor-signature splitting, and build the smallest result.
+``bron_kerbosch`` and ``min_clique_cover`` work on int bitsets of
+vertices; the cover search is bounded below by a greedy independent set
+of the uncovered vertices. The pipeline calls neither: they prove the
+clique-partition optimum independently of the completion search, so
+each checks the other.
 """
 
 from dataclasses import dataclass
 
 from .errors import CoverOverflowError
-from .exact import _bitsets, _first_fit, _greedy_is, _vertices
+from .exact import _bitsets, _clique_partitions, _greedy_is, _vertices, solve_msndpfsa
 from .machine import StatePartition, build_machine, split_to_deterministic
 from .stat_tests import TestConfig, compatibility_graph
 
@@ -130,16 +132,15 @@ def min_clique_cover(cliques, n_vertices, k_upper=None):
 def enumerate_exact_covers(graph, optimum, cap=10000):
     """Every partition of the vertices into exactly ``optimum`` cliques,
     blocks ordered by their smallest vertex, in the first-fit order of
-    ``exact._first_fit``. Raises CoverOverflowError past ``cap``."""
+    ``exact._clique_partitions``. Raises CoverOverflowError past ``cap``."""
     covers = []
-
-    def collect(assign, blocks):
+    for _, assign, _ in _clique_partitions(_bitsets(graph), optimum):
+        blocks = [[] for _ in range(optimum)]
+        for v, s in enumerate(assign):
+            blocks[s].append(v)
         covers.append(tuple(map(tuple, blocks)))
         if len(covers) > cap:
             raise CoverOverflowError("more than %d exact covers of %d cliques" % (cap, optimum))
-        return optimum
-
-    _first_fit(_bitsets(graph), None, optimum, optimum, collect)
     return covers
 
 
@@ -156,30 +157,28 @@ def reconstruct_deterministic(cover, W, wc):
 @dataclass(frozen=True)
 class PipelineResult:
     """Everything the cover pipeline produced: the selected machine, its
-    partition, the graph, the maximal cliques, the minimum cover, the
-    exact covers tried and the final state count of each."""
+    partition, the graph, the fewest cliques that partition it, the exact
+    covers tried and the final state count of each."""
 
     machine: object
     partition: object
     graph: object
-    cliques: tuple
-    cover: CoverResult
+    optimum: int
     covers: tuple
     final_counts: tuple
 
 
 def clique_pipeline(wc, config=None, cap=10000):
-    """Infer a machine by minimum clique cover plus deterministic
-    reconstruction, trying every exact cover and keeping the partition with
+    """Infer a machine by minimum clique partition plus deterministic
+    reconstruction, trying every partition into the fewest cliques
+    (``solve_msndpfsa``'s optimum) and keeping the deterministic split with
     the fewest states (first in enumeration order on ties). Only that
-    partition's machine is built, since a machine has one state per block.
-    The cover's k_upper is None: the pipeline runs no heuristic."""
+    partition's machine is built, since a machine has one state per block."""
     cfg = config or TestConfig()
     graph = compatibility_graph(wc, cfg)
     W = list(graph.vertices)
-    cliques = bron_kerbosch(graph)
-    cover = min_clique_cover(cliques, len(W))
-    covers = enumerate_exact_covers(graph, cover.optimum, cap)
+    optimum = solve_msndpfsa(graph).optimum
+    covers = enumerate_exact_covers(graph, optimum, cap)
 
     best_partition = None
     counts = []
@@ -193,8 +192,7 @@ def clique_pipeline(wc, config=None, cap=10000):
         build_machine(wc, best_partition),
         best_partition,
         graph,
-        tuple(cliques),
-        cover,
+        optimum,
         tuple(covers),
         tuple(counts),
     )

@@ -4,14 +4,15 @@
 consistent with the compatibility relation and the successor table;
 ``solve_msndpfsa`` drops determinism, which makes the problem clique
 partitioning. Both work on int bitsets of the compatibility graph and
-return the lexicographically least optimum. ``solve_msdpfsa``, and
-``cliques.enumerate_exact_covers``, run a first-fit search
-(``_first_fit``): history i may only open the lowest unused state, so
-each partition is visited once, in lexicographic assignment order, and
-forward checking cuts the branches whose unplaceable histories need too
-many new states. ``solve_msndpfsa`` runs a DSATUR-style completion
-search (``_clique_partition``) that proves the fewest cliques k, then
-builds the k-partition history by history.
+return the lexicographically least optimum, numbered first fit: history
+i may only open the lowest unused state. ``solve_msdpfsa`` runs a
+first-fit search (``_first_fit``) whose forward checking cuts the
+branches whose unplaceable histories need too many new states.
+Clique partitions have one engine, the DSATUR-style completion search
+of ``_clique_partitions``: it proves the fewest cliques k, then walks
+the partitions into k cliques in first-fit order, entering a branch
+only when the search completes it. ``solve_msndpfsa`` takes its first
+partition and ``cliques.enumerate_exact_covers`` all of them.
 
 ``build_ip_model`` states the problem as a 0/1 integer program.
 ``to_lp_text`` returns its LP text and ``write_lp`` writes the same text
@@ -78,8 +79,8 @@ class SolveResult:
     """Outcome of an exact search: the minimum state count, the
     lexicographically least optimal partition, the number of search nodes
     explored and the wall-clock seconds spent. Those are first-fit nodes
-    for ``solve_msdpfsa`` and, for ``solve_msndpfsa``, proof plus recovery
-    nodes of the completion search."""
+    for ``solve_msdpfsa`` and, for ``solve_msndpfsa``, the completion-search
+    nodes of the proof and of the walk to the first partition."""
 
     optimum: int
     partition: StatePartition
@@ -87,31 +88,32 @@ class SolveResult:
     elapsed: float = 0.0
 
 
-def _first_fit(adj, succ, low, high, visit):
-    """Walk the first-fit assignments in lexicographic order, calling
-    ``visit(assign, blocks)`` at each partition into low..high states
-    (deterministic under succ unless succ is None). adj holds each
-    vertex's compatible vertices as a bitset (``_bitsets``). blocks lists
-    each state's members, ascending; both arguments are live, so visit
-    copies what it keeps. visit returns the new high, and the search stops
-    once high < low. Returns the number of nodes explored.
+def _first_fit(adj, succ):
+    """The fewest states of a partition that is deterministic under succ,
+    the lexicographically least such partition, and the number of search
+    nodes explored. adj holds each vertex's compatible vertices as a bitset
+    (``_bitsets``).
 
-    Each open state keeps the bitset of vertices that fit it, so placing a
-    vertex is one bit test. Forward checking prunes a node when the later
-    vertices that fit no open state hold a greedy independent set too large
-    for the states left below high. Like the prune of nodes that cannot
-    reach low states, it cuts only subtrees without a partition to visit,
-    so the visits are those of the plain search."""
+    The search walks the first-fit assignments in lexicographic order from
+    the greedy independent-set bound up to n states; each partition it
+    reaches lowers the bound above to one state fewer, until the two
+    bounds cross. Each open state keeps the bitset of vertices that fit
+    it, so placing a vertex is one bit test. Forward checking prunes a node
+    when the later vertices that fit no open state hold a greedy
+    independent set too large for the states left below the upper bound.
+    Like the prune of nodes that cannot reach the lower bound, it cuts only
+    subtrees without a better partition, so the result is that of the
+    plain search."""
     n = len(adj)
     preds = [[] for _ in range(n)]
-    if succ is not None:
-        for u in range(n):
-            for a, l in enumerate(succ[u]):
-                if l is not None:
-                    preds[l].append((u, a))
+    for u in range(n):
+        for a, l in enumerate(succ[u]):
+            if l is not None:
+                preds[l].append((u, a))
 
+    low, high = _greedy_is(adj, (1 << n) - 1).bit_count(), n
+    best = None
     assign = [-1] * n
-    members = [[] for _ in range(n)]
     fit = [0] * n
     full = (1 << n) - 1
     targets = {}
@@ -149,11 +151,10 @@ def _first_fit(adj, succ, low, high, visit):
         return None
 
     def recurse(v, used):
-        nonlocal explored, high
+        nonlocal explored, high, best
         explored += 1
         if v == n:
-            if low <= used <= high:
-                high = visit(assign, members[:used])
+            best, high = tuple(assign), used - 1
             return
         if used + n - v < low:
             return
@@ -170,15 +171,13 @@ def _first_fit(adj, succ, low, high, visit):
                     break
             elif not fit[s] >> v & 1:
                 continue
-            trail = () if succ is None else place(v, s)
+            trail = place(v, s)
             if trail is None:
                 continue
             kept = fit[s]
             fit[s] = adj[v] if s == used else kept & adj[v]
             assign[v] = s
-            members[s].append(v)
             recurse(v + 1, used + (s == used))
-            members[s].pop()
             assign[v] = -1
             fit[s] = kept
             undo(trail)
@@ -186,13 +185,15 @@ def _first_fit(adj, succ, low, high, visit):
                 return
 
     recurse(0, 0)
-    return explored
+    return high + 1, best, explored
 
 
-def _clique_partition(adj):
-    """The fewest cliques k that partition the graph, the lexicographically
-    least first-fit partition into k cliques, and the number of
-    completion-search nodes explored.
+def _clique_partitions(adj, k=None):
+    """Every partition of the graph into exactly k cliques, in first-fit
+    order: history i may only open the lowest unused state, so each
+    partition comes once, in lexicographic assignment order. Each is
+    yielded as (k, assign, explored), explored being the completion-search
+    nodes so far. When k is None, k is first proven the fewest cliques.
 
     The completion search asks whether the open states, each with the
     bitset of vertices that fit it, plus ``spare`` new states can take the
@@ -202,10 +203,15 @@ def _clique_partition(adj):
     fits the fewest open states in each of them in turn, then in a new
     one. It remembers the subproblems that failed, for every k. Its first
     completion from no open state at k = greedy independent-set bound,
-    k + 1, ... proves k and is the first witness. Then each history in
-    turn takes the lowest state that still leaves a completion: its
-    witness state does, so only the lower states it fits are searched,
-    and each completion found is the next witness."""
+    k + 1, ... proves k and is the first witness.
+
+    The partitions are then walked depth first, history by history and
+    state by state. A branch is entered only when the completion search
+    completes it, which need not be asked of the witness's own state, and
+    the completion found is the witness below that branch. A completion
+    into fewer than k cliques splits into exactly k while the open states
+    plus the histories left number at least k, so with that check every
+    branch entered ends in a partition."""
     n = len(adj)
     explored = 0
     label = [0] * n  # the index in fits of each vertex's state on the current path
@@ -259,44 +265,47 @@ def _clique_partition(adj):
             failed.add(key)
         return ok
 
-    rest = (1 << n) - 1
-    # k = n always completes, so the loop ends there at the latest
-    for k in range(_greedy_is(adj, rest).bit_count(), n + 1):
-        if complete([], rest, k):
-            break
-    witness = label[:]
-    assign = [-1] * n
-    fits = []
-    for v in range(n):
-        bit = 1 << v
-        rest &= ~bit
+    witness = None
+    if k is None:
+        # k = n always completes, so the loop ends there at the latest
+        for k in range(_greedy_is(adj, (1 << n) - 1).bit_count(), n + 1):
+            if complete([], (1 << n) - 1, k):
+                break
+        witness = label[:]
+    assign = [0] * n
+
+    def walk(v, fits, witness):
         used = len(fits)
+        if used + n - v < k:
+            return
+        if v == n:
+            yield k, tuple(assign), explored
+            return
+        bit = 1 << v
         for s in range(min(used + 1, k)):
-            if s < used and not fits[s] & bit:
+            if s < used and (not fits[s] & bit or used + n - v == k):
                 continue
-            # the witness puts v in state s, or in a state not open yet
-            if witness[v] != s and not (s == used <= witness[v]):
-                trial = fits[:]
-                if s < used:
-                    trial[s] &= adj[v]
-                else:
-                    trial.append(adj[v])
-                if not complete(trial, rest, k - len(trial)):
+            trial = fits[:]
+            if s < used:
+                trial[s] &= adj[v]
+            else:
+                trial.append(adj[v])
+            below = witness
+            # search unless the witness puts v in state s, or in a state not open yet
+            if witness is None or min(witness[v], used) != s:
+                if not complete(trial, (1 << n) - (bit << 1), k - len(trial)):
                     continue
-                witness = label[:]
-                witness[v] = s
-            if s == used:
+                below = label[:]
+                below[v] = s  # complete labels only the vertices after v
+            t = below[v]
+            if t != s:
                 # the witness's states from used on are not open yet: swap
                 # the one v takes with the one the first fit numbers s
-                t = witness[v]
-                if t != s:
-                    witness = [s if x == t else t if x == s else x for x in witness]
-                fits.append(adj[v])
-            else:
-                fits[s] &= adj[v]
+                below = [s if x == t else t if x == s else x for x in below]
             assign[v] = s
-            break
-    return k, tuple(assign), explored
+            yield from walk(v + 1, trial, below)
+
+    yield from walk(0, [], witness)
 
 
 def _solved(graph, search):
@@ -318,25 +327,15 @@ def solve_msdpfsa(graph, succ):
     if succ is None:
         raise ValueError("the deterministic search needs a successor table")
 
-    def search(adj):
-        n = len(adj)
-        best = []
-
-        def record(assign, blocks):
-            best[:] = len(blocks), tuple(assign)
-            return len(blocks) - 1
-
-        explored = _first_fit(adj, succ, _greedy_is(adj, (1 << n) - 1).bit_count(), n, record)
-        return best[0], best[1], explored
-
-    return _solved(graph, search)
+    return _solved(graph, lambda adj: _first_fit(adj, succ))
 
 
 def solve_msndpfsa(graph):
     """Minimum states without the determinism requirement: the minimum
     number of cliques that partition the compatibility graph, proven and
-    recovered by one completion search (``_clique_partition``)."""
-    return _solved(graph, _clique_partition)
+    recovered by one completion search: the first partition of
+    ``_clique_partitions``."""
+    return _solved(graph, lambda adj: next(_clique_partitions(adj)))
 
 
 # ---------------------------------------------------------------------------

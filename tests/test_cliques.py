@@ -310,8 +310,7 @@ def test_reconstruct_refines_the_cover():
 def test_pipeline_fixture(fixture_wc):
     result = clique_pipeline(fixture_wc)
     assert result.machine.num_states == 3
-    assert result.cover.optimum == 3
-    assert result.cover.k_upper is None
+    assert result.optimum == 3
     assert result.final_counts == (3, 4)
     assert len(result.covers) == 2
     blocks = sorted(
@@ -341,7 +340,8 @@ def test_pipeline_bounded_by_cover_optimum():
     notes = []
     for idx, (wc, graph, succ) in enumerate(make_instances(20, seed=11)):
         result = clique_pipeline(wc)
-        assert result.machine.num_states >= result.cover.optimum
+        assert result.optimum == min_clique_cover(bron_kerbosch(graph), len(graph.vertices)).optimum
+        assert result.machine.num_states >= result.optimum
         assert result.machine.num_states == min(result.final_counts)
         assert not check_determinism(result.machine)
         exact = solve_msdpfsa(graph, succ).optimum

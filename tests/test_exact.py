@@ -25,8 +25,9 @@ from minpfsa import (
     to_lp_text,
     write_lp,
 )
-from minpfsa.cliques import bron_kerbosch, min_clique_cover
-from minpfsa.exact import _bitsets, _clique_partition, _first_fit
+from minpfsa.cliques import bron_kerbosch, clique_pipeline, min_clique_cover
+from minpfsa.errors import CoverOverflowError
+from minpfsa.exact import _bitsets, _clique_partitions
 from minpfsa.oracles import brute_force_min_states, lp_rows, solve_ip_model
 from tests.conftest import make_instances
 
@@ -247,9 +248,54 @@ def test_nondeterministic_partition_bytes(seed, states, length, n, optimum, dige
     assert hashlib.sha256(repr(res.partition.assign).encode()).hexdigest() == digest
 
 
+def first_fit_partition(mu, k):
+    """The first partition into exactly k cliques in first-fit order, as an
+    assign tuple, by a plain restricted-growth recursion (no pruning but
+    the state count), or None when there is none."""
+    n = len(mu)
+    assign, blocks = [], []
+
+    def recurse(v):
+        if v == n:
+            return len(blocks) == k
+        if len(blocks) + n - v < k:
+            return False
+        for s in range(min(len(blocks) + 1, k)):
+            if s == len(blocks):
+                blocks.append([])
+            elif not all(mu[v][u] for u in blocks[s]):
+                continue
+            blocks[s].append(v)
+            assign.append(s)
+            if recurse(v + 1):
+                return True
+            assign.pop()
+            blocks[s].pop()
+            if not blocks[s]:
+                blocks.pop()
+        return False
+
+    return tuple(assign) if recurse(0) else None
+
+
+def greedy_first_fit_states(mu):
+    """States of the greedy first fit: each vertex joins the lowest state
+    it fits, or opens a new one."""
+    blocks = []
+    for v in range(len(mu)):
+        for b in blocks:
+            if all(mu[v][u] for u in b):
+                b.append(v)
+                break
+        else:
+            blocks.append([v])
+    return len(blocks)
+
+
 def test_clique_partition_matches_first_fit_search():
     # the optimum is the cover's, an independent prover, and the partition
-    # the first one the first-fit search visits at exactly that many states
+    # the first one a plain first-fit recursion reaches at exactly that
+    # many states
     rng = np.random.default_rng(41)
     below = 0
     for _ in range(150):
@@ -257,18 +303,13 @@ def test_clique_partition_matches_first_fit_search():
         mu = rng.random((n, n)) < rng.uniform(0.15, 0.9)
         mu = np.logical_or(mu, mu.T)
         np.fill_diagonal(mu, True)
-        adj = _bitsets(mu)
         k = min_clique_cover(bron_kerbosch(mu), n).optimum
-        first = []
-        _first_fit(adj, None, k, k, lambda assign, blocks: first.append(tuple(assign)) or -1)
-        assert _clique_partition(adj)[:2] == (k, first[0])
-        # the first partition of the plain first fit: where it has more
-        # than k states, the lexicographically least k-partition is not
-        # the greedy one
-        greedy = []
-        _first_fit(adj, None, 1, n, lambda assign, blocks: greedy.append(len(blocks)) or 0)
-        below += k < greedy[0]
-    assert below >= 50  # 65 of the 150 graphs take the recovery
+        rows = mu.tolist()
+        assert next(_clique_partitions(_bitsets(mu)))[:2] == (k, first_fit_partition(rows, k))
+        # where the greedy first fit has more than k states, the
+        # lexicographically least k-partition is not the greedy one
+        below += k < greedy_first_fit_states(rows)
+    assert below >= 50  # 65 of the 150 greedy first fits miss k
 
 
 # (key of a four-symbol source at L = 3, histories, optimum): graphs whose
@@ -280,11 +321,15 @@ FOUR_SYMBOL_HARD = [([2, 4, 8000], 64, 11), ([3, 4, 8000], 64, 11),
                     ([1, 4, 8000], 64, 6), ([2, 4, 3000], 64, 8)]
 
 
+def four_symbol_counts(key):
+    source = random_machine(np.random.default_rng(key), key[1], Alphabet(tuple("0123")))
+    return count_windows(sample(source, key[2], key), 3)
+
+
 @pytest.mark.parametrize("key, n, optimum", FOUR_SYMBOL_HARD,
                          ids=["s%d-q%d-%d" % tuple(case[0]) for case in FOUR_SYMBOL_HARD])
 def test_nondeterministic_partition_is_clique_partition(key, n, optimum):
-    source = random_machine(np.random.default_rng(key), key[1], Alphabet(tuple("0123")))
-    graph = compatibility_graph(count_windows(sample(source, key[2], key), 3))
+    graph = compatibility_graph(four_symbol_counts(key))
     assert len(graph.vertices) == n
     res = solve_msndpfsa(graph)
     assert res.optimum == optimum == max(res.partition.assign) + 1
@@ -295,6 +340,14 @@ def test_nondeterministic_partition_is_clique_partition(key, n, optimum):
     assert [b[0] for b in blocks.values()] == sorted(b[0] for b in blocks.values())
     for block in blocks.values():
         assert graph.mu[np.ix_(block, block)].all()
+
+
+@pytest.mark.parametrize("key", [[14, 4, 3000], [2, 4, 3000]], ids=["s14-q4-3000", "s2-q4-3000"])
+def test_clique_route_overflows_fast(key):
+    # a first-fit enumeration (the first key) or a minimum clique cover (the
+    # second) takes seconds to minutes here; the route must fail fast instead
+    with pytest.raises(CoverOverflowError, match="^more than 10000 exact covers of 8 cliques$"):
+        clique_pipeline(four_symbol_counts(key))
 
 
 # ---------------------------------------------------------------------------
