@@ -1,11 +1,11 @@
 """Maximal cliques, exact minimum clique cover and the cover pipeline.
 
 The pipeline follows the reduction of the non-deterministic problem to
-clique partitioning: take the fewest cliques that partition the
-histories from ``exact.solve_msndpfsa``, enumerate every partition into
-that many cliques with the same completion search
-(``exact._clique_partitions``), make each deterministic by
-successor-signature splitting, and build the smallest result.
+clique partitioning: one pass of the completion search
+(``exact._clique_partitions``) proves the fewest cliques that partition
+the histories and enumerates every partition into that many; each is
+made deterministic by successor-signature splitting, and the smallest
+result is built.
 ``bron_kerbosch`` and ``min_clique_cover`` work on int bitsets of
 vertices; the cover search is bounded below by a greedy independent set
 of the uncovered vertices. The pipeline calls neither: they prove the
@@ -16,7 +16,7 @@ each checks the other.
 from dataclasses import dataclass
 
 from .errors import CoverOverflowError
-from .exact import _bitsets, _clique_partitions, _greedy_is, _vertices, solve_msndpfsa
+from .exact import _bitsets, _clique_partitions, _greedy_is, _vertices
 from .machine import StatePartition, build_machine, split_to_deterministic
 from .stat_tests import TestConfig, compatibility_graph
 
@@ -74,7 +74,7 @@ def min_clique_cover(cliques, n_vertices, k_upper=None):
     found is the same as without the bound. k_upper (a heuristic state
     count the caller may pass, such as a cssr machine's) is only recorded
     on the result; it does not constrain the search, so a wrong bound
-    cannot make the result wrong. clique_pipeline passes none.
+    cannot make the result wrong.
     """
     cliques = [tuple(sorted(c)) for c in cliques]
     masks = [sum(1 << v for v in c) for c in cliques]
@@ -129,18 +129,23 @@ def min_clique_cover(cliques, n_vertices, k_upper=None):
     return CoverResult(best["count"], chosen_cliques, tuple(assignment), k_upper)
 
 
-def enumerate_exact_covers(graph, optimum, cap=10000):
+def enumerate_exact_covers(graph, optimum=None, cap=10000):
     """Every partition of the vertices into exactly ``optimum`` cliques,
     blocks ordered by their smallest vertex, in the first-fit order of
-    ``exact._clique_partitions``. Raises CoverOverflowError past ``cap``."""
+    ``exact._clique_partitions``. When optimum is None it is the fewest
+    cliques, proven in the same pass; a graph without vertices then raises
+    ValueError. Raises CoverOverflowError past ``cap``."""
+    adj = _bitsets(graph)
+    if optimum is None and not adj:
+        raise ValueError("no histories to assign")
     covers = []
-    for _, assign, _ in _clique_partitions(_bitsets(graph), optimum):
-        blocks = [[] for _ in range(optimum)]
+    for k, assign, _ in _clique_partitions(adj, optimum):
+        blocks = [[] for _ in range(k)]
         for v, s in enumerate(assign):
             blocks[s].append(v)
         covers.append(tuple(map(tuple, blocks)))
         if len(covers) > cap:
-            raise CoverOverflowError("more than %d exact covers of %d cliques" % (cap, optimum))
+            raise CoverOverflowError("more than %d exact covers of %d cliques" % (cap, k))
     return covers
 
 
@@ -170,29 +175,22 @@ class PipelineResult:
 
 def clique_pipeline(wc, config=None, cap=10000):
     """Infer a machine by minimum clique partition plus deterministic
-    reconstruction, trying every partition into the fewest cliques
-    (``solve_msndpfsa``'s optimum) and keeping the deterministic split with
-    the fewest states (first in enumeration order on ties). Only that
-    partition's machine is built, since a machine has one state per block."""
+    reconstruction, trying every partition into the fewest cliques (proven
+    and enumerated by one ``enumerate_exact_covers`` pass) and keeping the
+    deterministic split with the fewest states (first in enumeration order
+    on ties). Only that partition's machine is built, since a machine has
+    one state per block."""
     cfg = config or TestConfig()
     graph = compatibility_graph(wc, cfg)
     W = list(graph.vertices)
-    optimum = solve_msndpfsa(graph).optimum
-    covers = enumerate_exact_covers(graph, optimum, cap)
-
-    best_partition = None
-    counts = []
-    for exact_cover in covers:
-        part = reconstruct_deterministic(exact_cover, W, wc)
-        counts.append(part.num_states)
-        if best_partition is None or part.num_states < best_partition.num_states:
-            best_partition = part
-
+    covers = enumerate_exact_covers(graph, cap=cap)
+    parts = [reconstruct_deterministic(cover, W, wc) for cover in covers]
+    best = min(parts, key=lambda part: part.num_states)
     return PipelineResult(
-        build_machine(wc, best_partition),
-        best_partition,
+        build_machine(wc, best),
+        best,
         graph,
-        optimum,
+        len(covers[0]),
         tuple(covers),
-        tuple(counts),
+        tuple(part.num_states for part in parts),
     )

@@ -6,13 +6,16 @@ consistent with the compatibility relation and the successor table;
 partitioning. Both work on int bitsets of the compatibility graph and
 return the lexicographically least optimum, numbered first fit: history
 i may only open the lowest unused state. ``solve_msdpfsa`` runs a
-first-fit search (``_first_fit``) whose forward checking cuts the
-branches whose unplaceable histories need too many new states.
-Clique partitions have one engine, the DSATUR-style completion search
-of ``_clique_partitions``: it proves the fewest cliques k, then walks
-the partitions into k cliques in first-fit order, entering a branch
-only when the search completes it. ``solve_msndpfsa`` takes its first
-partition and ``cliques.enumerate_exact_covers`` all of them.
+first-fit search (``_first_fit``) that checks each transition once,
+when the later of its two histories is placed, and whose forward
+checking cuts the branches whose unplaceable histories need too many
+new states. Clique partitions have one engine, the DSATUR-style
+completion search of ``_clique_partitions``: it proves the fewest
+cliques k, then walks the partitions into k cliques in first-fit order,
+entering a branch only when the search completes it.
+``solve_msndpfsa`` takes its first partition and
+``cliques.enumerate_exact_covers`` all of them, from the same pass when
+it is not given k.
 
 ``build_ip_model`` states the problem as a 0/1 integer program.
 ``to_lp_text`` returns its LP text and ``write_lp`` writes the same text
@@ -98,22 +101,24 @@ def _first_fit(adj, succ):
     the greedy independent-set bound up to n states; each partition it
     reaches lowers the bound above to one state fewer, until the two
     bounds cross. Each open state keeps the bitset of vertices that fit
-    it, so placing a vertex is one bit test. Forward checking prunes a node
+    it, so placing a vertex is one bit test, and each transition is checked
+    for determinism once, when the later of its endpoints is placed, since
+    first fit has then placed both. Forward checking prunes a node
     when the later vertices that fit no open state hold a greedy
     independent set too large for the states left below the upper bound.
     Like the prune of nodes that cannot reach the lower bound, it cuts only
     subtrees without a better partition, so the result is that of the
     plain search."""
     n = len(adj)
-    preds = [[] for _ in range(n)]
-    for u in range(n):
-        for a, l in enumerate(succ[u]):
+    links = [[] for _ in range(n)]
+    for u, row in enumerate(succ):
+        for a, l in enumerate(row):
             if l is not None:
-                preds[l].append((u, a))
+                links[max(u, l)].append((u, a, l))
 
     low, high = _greedy_is(adj, (1 << n) - 1).bit_count(), n
     best = None
-    assign = [-1] * n
+    assign = [0] * n
     fit = [0] * n
     full = (1 << n) - 1
     targets = {}
@@ -123,32 +128,22 @@ def _first_fit(adj, succ):
         for key in trail:
             del targets[key]
 
-    def place(v, s):
-        """Commit v's successor targets to state s, returning an undo
-        trail, or None when s would become non-deterministic."""
+    def place(v):
+        """Bind the (state, symbol) target of each transition in links[v],
+        v placed last, its state in assign[v]. Returns the undo trail, or
+        None, with the bindings undone, when a state would get two targets
+        on one symbol."""
         trail = []
-
-        def force(state, symbol, target):
-            key = (state, symbol)
+        for u, a, l in links[v]:
+            key = (assign[u], a)
             known = targets.get(key)
             if known is None:
-                targets[key] = target
+                targets[key] = assign[l]
                 trail.append(key)
-                return True
-            return known == target
-
-        for a, l in enumerate(succ[v]):
-            if l is not None and (l == v or assign[l] >= 0):
-                if not force(s, a, s if l == v else assign[l]):
-                    break
-        else:
-            for (u, a) in preds[v]:
-                if u != v and assign[u] >= 0 and not force(assign[u], a, s):
-                    break
-            else:
-                return trail
-        undo(trail)
-        return None
+            elif known != assign[l]:
+                undo(trail)
+                return None
+        return trail
 
     def recurse(v, used):
         nonlocal explored, high, best
@@ -171,14 +166,13 @@ def _first_fit(adj, succ):
                     break
             elif not fit[s] >> v & 1:
                 continue
-            trail = place(v, s)
+            assign[v] = s
+            trail = place(v)
             if trail is None:
                 continue
             kept = fit[s]
             fit[s] = adj[v] if s == used else kept & adj[v]
-            assign[v] = s
             recurse(v + 1, used + (s == used))
-            assign[v] = -1
             fit[s] = kept
             undo(trail)
             if used > high or high < low:

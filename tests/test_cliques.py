@@ -277,11 +277,15 @@ def test_enumerate_exact_covers_matches_reference():
     for _ in range(200):
         n = int(rng.integers(1, 11))
         mu = random_graph(rng, n, float(rng.uniform(0.1, 0.95)))
-        for k in range(1, n + 1):
+        optimum = brute_force_min_states(mu)
+        # k None: the enumeration proves the optimum itself
+        for k in [None, *range(1, n + 1)]:
             for cap in (0, 1, 7, 10000):
                 got = _covers_or_message(enumerate_exact_covers, mu, k, cap)
-                want = _covers_or_message(exact_covers_reference, mu.tolist(), k, cap)
+                want = _covers_or_message(exact_covers_reference, mu.tolist(), k or optimum, cap)
                 assert got == want, (mu.tolist(), k, cap)
+    with pytest.raises(ValueError, match="^no histories to assign$"):
+        enumerate_exact_covers(np.zeros((0, 0), dtype=bool))
 
 
 def test_reconstruct_deterministic_fixture(fixture_graph, fixture_wc):

@@ -209,11 +209,23 @@ def lex_least_oracle(mu, succ=None):
 
 
 def test_searches_return_lex_least_optimum(fixture_graph, fixture_succ):
-    cases = [(fixture_graph, fixture_succ)] + [(g, s) for _, g, s in make_instances(60, seed=11)]
-    for graph, succ in cases:
-        mu = graph.mu.tolist()
-        assert solve_msdpfsa(graph, succ).partition.assign == lex_least_oracle(mu, succ)
-        assert solve_msndpfsa(graph).partition.assign == lex_least_oracle(mu)
+    cases = [(fixture_graph.mu, fixture_succ)]
+    cases += [(g.mu, s) for _, g, s in make_instances(60, seed=11)]
+    # successor tables no sequence produces: uniform targets, before or
+    # after their source or on it, and unobserved (None) entries
+    rng = np.random.default_rng(13)
+    for _ in range(60):
+        n, m = int(rng.integers(1, 8)), int(rng.integers(1, 4))
+        mu = rng.random((n, n)) < rng.uniform(0.2, 0.95)
+        mu = np.logical_or(mu, mu.T)
+        np.fill_diagonal(mu, True)
+        succ = [[None if rng.random() < 0.3 else int(rng.integers(n)) for _ in range(m)]
+                for _ in range(n)]
+        cases.append((mu, succ))
+    for mu, succ in cases:
+        rows = mu.tolist()
+        assert solve_msdpfsa(mu, succ).partition.assign == lex_least_oracle(rows, succ)
+        assert solve_msndpfsa(mu).partition.assign == lex_least_oracle(rows)
 
 
 # (seed, source states, symbols, histories, optimum, sha256 of repr(assign))
@@ -244,6 +256,34 @@ def test_nondeterministic_partition_bytes(seed, states, length, n, optimum, dige
     bound = len(greedy_independent_set(graph.mu.tolist()))
     assert (bound < optimum) == ((seed, states) not in ((5, 5), (2, 2)))
     res = solve_msndpfsa(graph)
+    assert res.optimum == optimum
+    assert hashlib.sha256(repr(res.partition.assign).encode()).hexdigest() == digest
+
+
+# (seed, source states, length, histories, optimum, sha256 of repr(assign))
+# of the deterministic search on binary sources at L = 5, recorded with the
+# search that checked each history's successor row and predecessor list
+# apart (at most 0.08 s each); the nd optimum is 3-6 on all, so the
+# determinism checks decide these optima
+D_PARTITION_SHA256 = [
+    (0, 3, 2000, 32, 20, "c9656fd99921c9bd6f197fb9578168ea79267c3efba48fae478c3051d47046ef"),
+    (1, 5, 6000, 32, 21, "c6a62760a3d204daa92eebf349b842dfa7d02aea6efa7a2578ff89923138a849"),
+    (3, 5, 2000, 32, 15, "140fb67472a9978ba124e75697934b626daf5007198118a49de5f8b129d8b397"),
+    (4, 3, 2000, 32, 9, "90c050324f9531af60f1a49a358a65a223c0b48c39b7e57bae16d4050ce58727"),
+    (6, 5, 6000, 32, 19, "1f7f5cc62c2ebbc806f9ed6ccc1178c9313b60e03e33075b2c8fb803c71eb570"),
+    (8, 5, 6000, 32, 17, "e363d7645020d66acf50522461e06853a4fb7266cde1233116ff2dca2747d0be"),
+]
+
+
+@pytest.mark.parametrize("seed, states, length, n, optimum, digest", D_PARTITION_SHA256,
+                         ids=["s%d-q%d-%d" % case[:3] for case in D_PARTITION_SHA256])
+def test_deterministic_partition_bytes(seed, states, length, n, optimum, digest):
+    key = [seed, 2, states, length]
+    source = random_machine(np.random.default_rng(key), states, BINARY)
+    wc = count_windows(sample(source, length, key), 5)
+    graph = compatibility_graph(wc)
+    assert len(graph.vertices) == n
+    res = solve_msdpfsa(graph, succ_table(wc, graph.vertices))
     assert res.optimum == optimum
     assert hashlib.sha256(repr(res.partition.assign).encode()).hexdigest() == digest
 
