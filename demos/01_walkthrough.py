@@ -36,7 +36,7 @@ for h in [(0, 0), (0, 1), (1, 1), (1, 0)]:
 
 print("\nconditional next-symbol distributions:")
 for h in [(0, 0), (0, 1), (1, 1), (1, 0)]:
-    d = cond_dist(wc, h).probs
+    d = cond_dist(wc, h)
     print("  p(. | %s) = (%.4f, %.4f)" % (render(h), d[0], d[1]))
 
 cfg = TestConfig()
@@ -51,10 +51,10 @@ for i, a in enumerate(hs):
 
 # splitting: grow histories level by level, clustering each level by the
 # two-sample test against the states formed so far
-part, trace = cssr_split(wc, return_trace=True)
 print("\nsplitting trace:")
-for level, blocks in trace:
-    shown = ["{%s}" % ",".join(render(h) or "''" for h in b) for b in blocks]
+for level in range(wc.L + 1):
+    part = cssr_split(count_windows(seq, level), cfg)
+    shown = ["{%s}" % ",".join(render(h) or "''" for h in b) for b in part.blocks()]
     print("  level %d: %s" % (level, "  ".join(shown)))
 
 # reconstruction: split states until every (state, symbol) pair leads to

@@ -37,7 +37,7 @@ print("\nstate-conditional distributions, inferred vs resampled:")
 worst = 0.0
 for j, block in enumerate(machine.states):
     expect = machine.prob_rows()[j]
-    got = state_dist(recount, block).probs
+    got = state_dist(recount, block)
     worst = max(worst, float(np.abs(got - expect).max()))
     print("  q%d  expected %s  resampled %s" % (
         j + 1, np.round(expect, 4), np.round(got, 4)))

@@ -1,14 +1,11 @@
 """Causal-state splitting and reconstruction.
 
-The splitting pass walks window lengths 0 through L. At each length the
-observed histories of that length are clustered into fresh states: each
+The splitting pass clusters the histories of length L into states: each
 history, taken in order of first appearance in the sequence, is compared
 against the pooled next-symbol distribution of every state formed so far
-at this length and joins the best-matching state when the test accepts,
-otherwise it opens a new state. Each state's pooled counts grow as
-members join. Lengths below L only matter as a progress trace, so they
-are clustered only when the trace is asked for; the partition of the
-length-L histories is the splitting result.
+and joins the best-matching state when the test accepts, otherwise it
+opens a new state. Each state's pooled counts grow as members join. The
+clustering of a shorter length l is that of ``count_windows(seq, l)``.
 
 The reconstruction pass then splits states whose members disagree on
 which state their shift-append successors land in, repeating until the
@@ -21,11 +18,15 @@ from .sequences import histories
 from .stat_tests import TestConfig, count_list, list_pvalue
 
 
-def _cluster_level(wc, level, cfg):
-    """Cluster the extendable histories of one window length into a
-    StatePartition, numbering states in the order they open. Each state
-    keeps the running sum of its members' continuation counts."""
-    W = tuple(histories(wc, level))
+def cssr_split(wc, config=None):
+    """Cluster the length-L histories of wc into approximately
+    homogeneous states.
+
+    Returns a StatePartition over the length-L histories (in order of
+    first appearance), numbering states in the order they open.
+    """
+    cfg = config or TestConfig()
+    W = tuple(histories(wc))
     test = list_pvalue(cfg)
     pooled = []
     assign = []
@@ -43,21 +44,6 @@ def _cluster_level(wc, level, cfg):
             pooled.append(ext)
         assign.append(best_state)
     return StatePartition(W, tuple(assign))
-
-
-def cssr_split(wc, config=None, return_trace=False):
-    """Cluster the length-L histories of wc into approximately
-    homogeneous states.
-
-    Returns a StatePartition over the length-L histories (in order of
-    first appearance). With return_trace=True, also returns the per-level
-    clusterings as a list of (level, blocks) pairs.
-    """
-    cfg = config or TestConfig()
-    if not return_trace:
-        return _cluster_level(wc, wc.L, cfg)
-    parts = [_cluster_level(wc, level, cfg) for level in range(wc.L + 1)]
-    return parts[-1], [(level, part.blocks()) for level, part in enumerate(parts)]
 
 
 def cssr_reconstruct(partition, wc):

@@ -106,9 +106,14 @@ def _first_fit(adj, succ):
     first fit has then placed both. Forward checking prunes a node
     when the later vertices that fit no open state hold a greedy
     independent set too large for the states left below the upper bound.
-    Like the prune of nodes that cannot reach the lower bound, it cuts only
-    subtrees without a better partition, so the result is that of the
-    plain search."""
+    It cuts only subtrees without a better partition, so the result is
+    that of the plain search.
+
+    No node needs a check against the lower bound: every state is a
+    clique, so the placed members of the greedy independent set lie in
+    distinct states, at most ``used`` of them, and the others number at
+    most n - v, so used + n - v >= low at every node. The lower bound only
+    stops the search, once a partition meets it."""
     n = len(adj)
     links = [[] for _ in range(n)]
     for u, row in enumerate(succ):
@@ -150,8 +155,6 @@ def _first_fit(adj, succ):
         explored += 1
         if v == n:
             best, high = tuple(assign), used - 1
-            return
-        if used + n - v < low:
             return
         if used + n - v > high:
             opened = 0

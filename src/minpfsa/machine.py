@@ -53,9 +53,6 @@ class StatePartition:
             out[s].append(h)
         return [tuple(b) for b in out]
 
-    def state_of(self, history):
-        return self.assign[self.W.index(tuple(history))]
-
     def canonical(self):
         """Renumber states in first-fit order along W."""
         remap = {}
@@ -143,9 +140,6 @@ class PFSA:
     def num_states(self):
         return len(self.states)
 
-    def is_deterministic(self):
-        return not check_determinism(self)
-
     def prob_rows(self):
         """Per-state emission rows as a num_states x |A| array."""
         rows = np.zeros((len(self.states), len(self.alphabet)))
@@ -173,15 +167,14 @@ def build_machine(wc, partition):
     continuation counts; symbols that kept no transition lose their edge
     and the remaining symbols are renormalized.
     """
-    part = partition.canonical()
-    blocks = part.blocks()
+    blocks = partition.blocks()
     order = sorted(range(len(blocks)), key=lambda s: min(blocks[s]))
     relabel = {old: new for new, old in enumerate(order)}
     states = tuple(blocks[old] for old in order)
-    state = [relabel[s] for s in part.assign]
+    state = [relabel[s] for s in partition.assign]
 
     targets = {}
-    for i, row in enumerate(succ_table(wc, part.W)):
+    for i, row in enumerate(succ_table(wc, partition.W)):
         for a, l in enumerate(row):
             if l is not None:
                 targets.setdefault((state[i], a), set()).add(state[l])
@@ -191,13 +184,13 @@ def build_machine(wc, partition):
     for j, block in enumerate(states):
         dist = state_dist(wc, block)
         kept = [a for a in range(len(wc.alphabet)) if (j, a) in delta]
-        mass = float(sum(dist.probs[a] for a in kept))
+        mass = float(sum(dist[a] for a in kept))
         for a in kept:
-            probs[(j, a)] = float(dist.probs[a]) / mass
+            probs[(j, a)] = float(dist[a]) / mass
 
     mfs = int(np.argmax([wc.count((a,)) for a in range(len(wc.alphabet))]))
     home = tuple([mfs] * wc.L)
-    start = state[part.W.index(home)] if home in part.W else 0
+    start = state[partition.W.index(home)] if home in partition.W else 0
 
     return PFSA(wc.alphabet, states, delta, probs, start)
 

@@ -34,9 +34,6 @@ class Alphabet:
     def __len__(self):
         return len(self.symbols)
 
-    def index(self, token):
-        return self.symbols.index(token)
-
     def render(self, history):
         """Render a history (ordinals) as a string, joining the symbols with
         single spaces when some symbol is longer than one character."""
@@ -226,26 +223,17 @@ def succ_table(wc, W):
     return tuple(table)
 
 
-@dataclass(frozen=True)
-class ConditionalDistribution:
-    """Next-symbol distribution of a history or pooled set of histories.
-
-    probs[a] is the number of continuations with symbol a over the total
-    number of observed continuations.
-    A history occurring only at the very end of the sequence has no
-    continuation and no conditional distribution.
-    """
-
-    probs: np.ndarray
-
-
 def cond_dist(wc, history):
-    """Conditional next-symbol distribution of a single history."""
+    """Conditional next-symbol distribution of a single history: entry a
+    is the number of its continuations with symbol a over the number of
+    its observed continuations. A history occurring only at the very end
+    of the sequence has no continuation and no distribution."""
     return state_dist(wc, [tuple(history)])
 
 
 def state_dist(wc, histories):
-    """Pooled next-symbol distribution of a set of histories.
+    """Pooled next-symbol distribution of a set of histories, as an array
+    of probabilities indexed by symbol.
 
     Continuation counts are summed over the members, so frequent histories
     weigh more, matching the ratio of summed counts.
@@ -259,7 +247,7 @@ def state_dist(wc, histories):
         raise UnobservedHistoryError(
             "no member of %r has an observed continuation" % (hs,)
         )
-    return ConditionalDistribution(ext / support)
+    return ext / support
 
 
 def histories(wc, length=None):

@@ -37,6 +37,7 @@ sums. The test suite holds the numpy formula as the reference.
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.special import chdtrc, gammaln
@@ -105,7 +106,7 @@ def _identical_proportions(a, b, na, nb):
     return True
 
 
-def _chi2_family_pvalue(a, b, freeman_tukey):
+def _chi2_family_pvalue(freeman_tukey, a, b):
     """Upper-tail chi-squared p-value of the Freeman-Tukey or the Pearson
     statistic of two count lists; see the module docstring for the order
     of the arithmetic."""
@@ -137,24 +138,16 @@ def _chi2_family_pvalue(a, b, freeman_tukey):
     return float(chdtrc(len(a) - 1, stat))
 
 
-def _chi2_lists(a, b):
-    return _chi2_family_pvalue(a, b, False)
-
-
-def _ft_lists(a, b):
-    return _chi2_family_pvalue(a, b, True)
-
-
 def chi2_pvalue(counts_a, counts_b):
     """Pearson chi-squared two-sample homogeneity test, no continuity
     correction. Returns the upper-tail p-value."""
-    return _chi2_lists(count_list(counts_a), count_list(counts_b))
+    return _chi2_family_pvalue(False, count_list(counts_a), count_list(counts_b))
 
 
 def ft_pvalue(counts_a, counts_b):
     """Freeman-Tukey two-sample homogeneity test on the same table and
     degrees of freedom as ``chi2_pvalue``."""
-    return _ft_lists(count_list(counts_a), count_list(counts_b))
+    return _chi2_family_pvalue(True, count_list(counts_a), count_list(counts_b))
 
 
 # hypergeometric states of the KS recursion with probability below this
@@ -241,7 +234,11 @@ def _ks_lists(a, b):
     return float(min(1.0, 0.5 * (leaves[0] + leaves[1])))
 
 
-_ON_LISTS = {"chi2": _chi2_lists, "freeman-tukey": _ft_lists, "ks": _ks_lists}
+_ON_LISTS = {
+    "chi2": partial(_chi2_family_pvalue, False),
+    "freeman-tukey": partial(_chi2_family_pvalue, True),
+    "ks": _ks_lists,
+}
 
 
 def list_pvalue(config):
@@ -263,7 +260,7 @@ class CompatibilityGraph:
     the symmetric matrix of pairwise test results with 1.0 on the diagonal,
     and mu the boolean adjacency: mu[i, l] is True when histories i and l
     may share a state, that is when pvalues[i, l] > alpha. The diagonal is
-    forced True.
+    True, because alpha is below 1.
     """
 
     vertices: tuple
@@ -287,7 +284,5 @@ def compatibility_graph(wc, config=None):
     for i in range(n):
         for l in range(i + 1, n):
             pvals[i, l] = pvals[l, i] = test(ext[i], ext[l])
-    mu = pvals > cfg.alpha
-    np.fill_diagonal(mu, True)
-    return CompatibilityGraph(verts, pvals, mu)
+    return CompatibilityGraph(verts, pvals, pvals > cfg.alpha)
 

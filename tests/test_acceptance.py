@@ -87,7 +87,7 @@ def test_c1a_fixture_conditional_distributions():
     t0 = time.perf_counter()
     wc = count_windows(gen_fixture(), 2)
     for name, expect in TABLE1.items():
-        got = cond_dist(wc, HISTORY[name]).probs
+        got = cond_dist(wc, HISTORY[name])
         assert np.allclose(got, expect, atol=5e-4), (name, got, expect)
     elapsed = time.perf_counter() - t0
     print("criterion 1a: conditional distributions ok, %.3fs" % elapsed)
@@ -270,7 +270,7 @@ def test_c7_generative_closure():
     seq = sample(machine, 50000, seed=20260825)
     recount = count_windows(seq, 2)
     for j, block in enumerate(machine.states):
-        got = state_dist(recount, block).probs
+        got = state_dist(recount, block)
         expect = machine.prob_rows()[j]
         assert np.allclose(got, expect, atol=0.03), (j, got, expect)
     print("criterion 7: 50000-symbol resample within 0.03 per state")

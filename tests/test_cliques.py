@@ -211,6 +211,19 @@ def test_enumerate_exact_covers_triangle():
     ]
 
 
+def test_enumerate_exact_covers_edge_cases():
+    # more cliques than vertices: the walk stops at its root, because the
+    # open states plus the vertices left fall short of k
+    rng = np.random.default_rng(16)
+    for n in range(1, 6):
+        mu = random_graph(rng, n, 0.5)
+        assert enumerate_exact_covers(mu, n + 1) == []
+        assert len(enumerate_exact_covers(mu, n)) == 1
+    empty = np.zeros((0, 0), dtype=bool)
+    assert enumerate_exact_covers(empty, 0) == [()]
+    assert enumerate_exact_covers(empty, 1) == []
+
+
 def test_enumerate_exact_covers_blocks_are_cliques():
     rng = np.random.default_rng(15)
     for _ in range(15):
@@ -338,9 +351,10 @@ def test_pipeline_cap_propagates(fixture_wc):
 
 def test_pipeline_bounded_by_cover_optimum():
     # the deterministic split can only add states on top of the cover, and
-    # the chosen machine must be deterministic; the pipeline may land above
-    # or below the exact deterministic optimum, so discrepancies are only
-    # reported, not asserted away
+    # the chosen machine must be deterministic. A split clique partition is
+    # a feasible deterministic partition, so the pipeline never lands below
+    # the exact deterministic optimum; it may land above, and those
+    # overcounts are only reported
     notes = []
     for idx, (wc, graph, succ) in enumerate(make_instances(20, seed=11)):
         result = clique_pipeline(wc)
@@ -349,6 +363,7 @@ def test_pipeline_bounded_by_cover_optimum():
         assert result.machine.num_states == min(result.final_counts)
         assert not check_determinism(result.machine)
         exact = solve_msdpfsa(graph, succ).optimum
+        assert result.machine.num_states >= exact
         if result.machine.num_states != exact:
             notes.append((idx, result.machine.num_states, exact))
     if notes:

@@ -15,6 +15,7 @@ from minpfsa import (
     cssr_split,
     from_text,
     from_tokens,
+    gen_fixture,
     histories,
 )
 from minpfsa.oracles import brute_force_min_states
@@ -31,19 +32,28 @@ def test_split_reproduces_walkthrough(fixture_wc):
 
 
 def test_split_trace_levels(fixture_wc):
-    part, trace = cssr_split(fixture_wc, return_trace=True)
-    assert [level for level, _ in trace] == [0, 1, 2]
-    level0 = trace[0][1]
-    assert level0 == [((),)]
+    seq = gen_fixture()
+    levels = [cssr_split(count_windows(seq, level)) for level in range(3)]
+    assert levels[0].blocks() == [((),)]
+    assert levels[-1] == cssr_split(fixture_wc)
 
 
-def test_split_without_trace_matches_trace_last_level():
-    for wc, _, _ in make_instances(40, seed=31):
-        part, trace = cssr_split(wc, return_trace=True)
-        assert cssr_split(wc) == part
-        assert [level for level, _ in trace] == list(range(wc.L + 1))
-        assert part.W == tuple(histories(wc))
-        assert part.blocks() == trace[-1][1]
+def test_split_levels_match_shorter_counts():
+    # the clustering of length l < L is that of the sequence counted at l:
+    # the same histories, in the same order, with the same counts
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        k, L = int(rng.integers(2, 4)), int(rng.integers(0, 4))
+        toks = rng.integers(k, size=int(rng.integers(L + 1, 150)))
+        seq = from_tokens(toks, Alphabet(tuple(str(i) for i in range(k))))
+        wc = count_windows(seq, L)
+        for level in range(L + 1):
+            short = count_windows(seq, level)
+            part = cssr_split(short)
+            assert part.W == tuple(histories(wc, level))
+            for h in part.W:
+                assert np.array_equal(short.extension_counts(h), wc.extension_counts(h))
+        assert part == cssr_split(wc)
 
 
 def test_split_reads_each_history_counts_once(monkeypatch):

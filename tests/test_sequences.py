@@ -224,7 +224,7 @@ def test_cond_dist_reference_values(fixture_wc):
         ("10", (0.9737, 0.0263)),
     ]:
         h = tuple(int(c) for c in hist)
-        got = cond_dist(fixture_wc, h).probs
+        got = cond_dist(fixture_wc, h)
         assert np.allclose(got, expect, atol=5e-4), (hist, got)
 
 
@@ -234,22 +234,22 @@ def test_cond_dist_unobserved(fixture_wc):
 
 
 def test_state_dist_pooled_value(fixture_wc):
-    got = state_dist(fixture_wc, [(0, 0), (1, 0)]).probs
+    got = state_dist(fixture_wc, [(0, 0), (1, 0)])
     assert np.allclose(got, (0.9341, 0.0659), atol=5e-4)
 
 
 def test_state_dist_singleton_equals_cond_dist(fixture_wc):
-    a = state_dist(fixture_wc, [(1, 1)]).probs
-    b = cond_dist(fixture_wc, (1, 1)).probs
+    a = state_dist(fixture_wc, [(1, 1)])
+    b = cond_dist(fixture_wc, (1, 1))
     assert np.array_equal(a, b)
 
 
 def test_state_dist_pooled_between_members(fixture_wc):
-    pooled = state_dist(fixture_wc, [(0, 0), (1, 0)]).probs[0]
-    lo = min(cond_dist(fixture_wc, (0, 0)).probs[0],
-             cond_dist(fixture_wc, (1, 0)).probs[0])
-    hi = max(cond_dist(fixture_wc, (0, 0)).probs[0],
-             cond_dist(fixture_wc, (1, 0)).probs[0])
+    pooled = state_dist(fixture_wc, [(0, 0), (1, 0)])[0]
+    lo = min(cond_dist(fixture_wc, (0, 0))[0],
+             cond_dist(fixture_wc, (1, 0))[0])
+    hi = max(cond_dist(fixture_wc, (0, 0))[0],
+             cond_dist(fixture_wc, (1, 0))[0])
     assert lo <= pooled <= hi
 
 
@@ -263,7 +263,7 @@ def test_state_dist_empty(fixture_wc):
 def test_distributions_sum_to_one(tokens):
     wc = count_windows(from_tokens(tokens, BINARY), 2)
     for h in histories(wc):
-        assert abs(cond_dist(wc, h).probs.sum() - 1.0) < 1e-12
+        assert abs(cond_dist(wc, h).sum() - 1.0) < 1e-12
 
 
 # ---------------------------------------------------------------------------
