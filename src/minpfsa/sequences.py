@@ -113,12 +113,21 @@ def parse_sequence(text, mode="chars"):
 
 
 def from_tokens(tokens, alphabet):
-    toks = np.asarray(tokens, dtype=np.int64)
+    """Build a SymbolSequence from a 1-d sequence of integer ordinals into
+    alphabet. Raises ValueError on a non-integer or boolean ordinal, or on
+    one outside the alphabet."""
+    toks = np.asarray(tokens)
     if toks.ndim != 1 or len(toks) == 0:
         raise EmptySequenceError("sequence has no symbols")
+    # asarray reads a list such as [0, True] as integers
+    if toks.dtype.kind not in "iu" or (
+        not isinstance(tokens, np.ndarray)
+        and any(isinstance(t, (bool, np.bool_)) for t in tokens)
+    ):
+        raise ValueError("token ordinals must be non-boolean integers")
     if toks.min() < 0 or toks.max() >= len(alphabet):
         raise ValueError("token ordinal outside alphabet")
-    return SymbolSequence(alphabet, toks)
+    return SymbolSequence(alphabet, toks.astype(np.int64, copy=False))
 
 
 def gen_fixture():

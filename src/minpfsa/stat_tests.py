@@ -21,18 +21,27 @@ the two count vectors and drop columns whose combined count is zero.
 Identical normalized count vectors always give p = 1.0. A negative, NaN
 or infinite count raises ValueError in every test.
 
-The Pearson and Freeman-Tukey statistics are computed by one plain-float
-routine, which the compatibility graph and cssr call once per comparison
-on count lists they convert once per history or state (``count_list``,
-``list_pvalue``). It gives the p-value that the whole-array numpy formula
-gives, bit for bit, on whole-number counts below 2**53: there every row,
-column and grand total is exact in any order. Each expected count is
-row total * column total / grand total. The Freeman-Tukey cell is
-4 * (d * d) with d = sqrt(O) - sqrt(E), the Pearson cell d * d / E with
-d = O - E. Each column's two cells are added first, then the columns are
-summed as ``ndarray.sum`` sums them: from left to right below 8 kept
-columns, and by numpy itself from 8 on, where it keeps eight partial
-sums. The test suite holds the numpy formula as the reference.
+The Pearson and Freeman-Tukey statistics are one arithmetic in two
+forms. cssr and the public functions run it per comparison, in plain
+floats, on count lists they convert once per history or state
+(``count_list``, ``list_pvalue``). The compatibility graph runs it over
+arrays, on all history pairs i < l at once, in blocks of a fixed number
+of pairs, so its temporaries do not grow with the square of the history
+count. Each expected count is row total * column total / grand total.
+The Freeman-Tukey cell is 4 * (d * d) with d = sqrt(O) - sqrt(E), the
+Pearson cell d * d / E with d = O - E. Each column's two cells are added
+first, then the columns are summed as ``ndarray.sum`` sums them: from
+left to right below 8 kept columns, and by numpy itself from 8 on, where
+it keeps eight partial sums.
+
+The per-comparison form gives the p-value that the whole-array numpy
+formula gives, bit for bit, on whole-number counts below 2**53: there
+every row, column and grand total is exact in any order. The test suite
+holds the numpy formula as its reference. The array form gives, bit for
+bit, the p-value of the per-comparison form on the same two vectors of
+whole-number counts. It sums every column from left to right, a dropped
+column adding an exact 0.0, and a pair with 8 or more kept columns takes
+``np.sum`` over its kept cells.
 """
 
 import math
@@ -273,16 +282,68 @@ class CompatibilityGraph:
         return [(i, l) for i in range(n) for l in range(i + 1, n) if self.mu[i, l]]
 
 
+# upper-triangle history pairs whose tables the compatibility graph forms
+# at once: its temporaries are a few (block, |A|) float arrays
+_PAIR_BLOCK = 1 << 12
+
+
+def _chi2_family_pairs(freeman_tukey, E, tot, i, l):
+    """``_chi2_family_pvalue`` of the count rows E[i[k]] and E[l[k]] for
+    every k, bit for bit, where tot holds the row totals of E. Every row
+    must have a positive total, as every history of the graph has; see
+    the module docstring for the order of the arithmetic."""
+    x, y = E[i], E[l]
+    na, nb = tot[i, None], tot[l, None]
+    t = x + y
+    kept = t > 0.0
+    n = na + nb
+    ea = na * t / n
+    eb = nb * t / n
+    if freeman_tukey:
+        da = np.sqrt(x) - np.sqrt(ea)
+        db = np.sqrt(y) - np.sqrt(eb)
+        cells = 4.0 * (da * da) + 4.0 * (db * db)
+    else:
+        da = x - ea
+        db = y - eb
+        # a dropped column then adds 0.0 rather than 0/0
+        ea[~kept] = eb[~kept] = 1.0
+        cells = da * da / ea + db * db / eb
+    stat = np.zeros(len(i))
+    for c in cells.T:  # left to right; an added 0.0 is exact
+        stat += c
+    k = kept.sum(axis=1)
+    for r in np.flatnonzero(k >= 8):
+        stat[r] = np.sum(cells[r][kept[r]])
+    p = np.ones(len(i))
+    test = (k >= 2) & np.any(np.abs(x / na - y / nb) > 1e-12, axis=1)
+    p[test] = chdtrc(k[test] - 1, stat[test])
+    return p
+
+
 def compatibility_graph(wc, config=None):
     """Build the compatibility graph of the length-L histories of wc."""
     cfg = config or TestConfig()
     verts = tuple(histories(wc))
     n = len(verts)
-    test = list_pvalue(cfg)
-    ext = [count_list(wc.extension_counts(v)) for v in verts]
     pvals = np.ones((n, n))
-    for i in range(n):
-        for l in range(i + 1, n):
-            pvals[i, l] = pvals[l, i] = test(ext[i], ext[l])
+    if cfg.test == "ks":
+        ext = [count_list(wc.extension_counts(v)) for v in verts]
+        for i in range(n):
+            for l in range(i + 1, n):
+                pvals[i, l] = pvals[l, i] = _ks_lists(ext[i], ext[l])
+    else:
+        E = np.array([wc.extension_counts(v) for v in verts], dtype=float)
+        E = E.reshape(n, len(wc.alphabet))
+        tot = E.sum(axis=1)
+        # pairs i < l in row-major order; row i starts at pair starts[i]
+        rows = np.arange(n)
+        starts = rows * (2 * n - rows - 1) // 2
+        pairs = n * (n - 1) // 2
+        freeman_tukey = cfg.test == "freeman-tukey"
+        for s in range(0, pairs, _PAIR_BLOCK):
+            q = np.arange(s, min(s + _PAIR_BLOCK, pairs))
+            i = np.searchsorted(starts, q, side="right") - 1
+            l = q - starts[i] + i + 1
+            pvals[i, l] = pvals[l, i] = _chi2_family_pairs(freeman_tukey, E, tot, i, l)
     return CompatibilityGraph(verts, pvals, pvals > cfg.alpha)
-

@@ -84,6 +84,34 @@ def test_from_text_explicit_alphabet():
     assert seq.tokens.tolist() == [1, 0]
 
 
+@pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int16, np.uint32, np.int64, np.uint64])
+def test_from_tokens_accepts_integer_arrays(dtype):
+    seq = from_tokens(np.array([0, 2, 1, 0], dtype=dtype), Alphabet(("0", "1", "2")))
+    assert seq.tokens.dtype == np.int64
+    assert seq.tokens.tolist() == [0, 2, 1, 0]
+
+
+@pytest.mark.parametrize("tokens", [
+    [0, 1.7, 0.2, 1],
+    [0.0, 1.0],
+    np.array([0.0, 1.0]),
+    [True, False],
+    np.array([True, False]),
+    [0, True, 1],
+    [0, np.True_],
+    ["0", "1"],
+])
+def test_from_tokens_rejects_non_integer_ordinals(tokens):
+    with pytest.raises(ValueError):
+        from_tokens(tokens, BINARY)
+
+
+def test_from_tokens_rejects_out_of_range():
+    for tokens in ([0, 2], [-1, 0], np.array([0, 2**63], dtype=np.uint64)):
+        with pytest.raises(ValueError):
+            from_tokens(tokens, BINARY)
+
+
 def test_alphabet_rejects_duplicates():
     with pytest.raises(ValueError):
         Alphabet(("0", "0"))

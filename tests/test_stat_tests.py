@@ -7,6 +7,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from math import comb
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,8 +29,23 @@ from minpfsa import (
     ft_pvalue,
     ks_pvalue,
     pvalue,
+    stat_tests,
 )
 from tests.conftest import make_instances
+
+
+def random_window_counts(count, seed):
+    """Window counts of random sequences over 2 to 10 symbols at L 0 to 2.
+    Over 8 or more symbols many history pairs keep 8 or more columns."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        k = int(rng.integers(2, 11))
+        bias = rng.dirichlet(np.ones(k) * float(rng.choice([0.3, 1.0, 5.0])))
+        toks = rng.choice(k, size=int(rng.integers(3, 300)), p=bias)
+        alphabet = Alphabet(tuple(str(i) for i in range(k)))
+        out.append(count_windows(from_tokens(toks, alphabet), int(rng.integers(0, 3))))
+    return out
 
 
 def perm_pvalue(counts_a, counts_b, statistic, shuffles, rng):
@@ -384,3 +400,47 @@ def test_graph_bytes(fixture_wc, test):
         pvalues.update(graph.pvalues.tobytes())
         mu.update(graph.mu.tobytes())
     assert (pvalues.hexdigest(), mu.hexdigest()) == GRAPH_SHA256[test]
+
+
+@pytest.mark.parametrize("test", ["freeman-tukey", "chi2"])
+def test_graph_pvalues_match_pairwise_tests(test):
+    # the graph tests all pairs at once over arrays; each p-value must be
+    # the bytes of the per-comparison test on the two histories' counts
+    scalar = ft_pvalue if test == "freeman-tukey" else chi2_pvalue
+    wide = 0
+    for wc in random_window_counts(200, seed=17):
+        graph = compatibility_graph(wc, TestConfig(test=test))
+        ext = [wc.extension_counts(v) for v in graph.vertices]
+        expect = np.ones((len(ext), len(ext)))
+        for i, l in itertools.combinations(range(len(ext)), 2):
+            expect[i, l] = expect[l, i] = scalar(ext[i], ext[l])
+            wide += ((ext[i] + ext[l]) > 0).sum() >= 8
+        assert graph.pvalues.tobytes() == expect.tobytes()
+    assert wide >= 100, wide
+
+
+@pytest.mark.parametrize("test", TESTS)
+def test_graph_of_one_or_no_history(test):
+    cfg = TestConfig(test=test)
+    one = compatibility_graph(count_windows(from_tokens([0, 0, 0, 0], BINARY), 1), cfg)
+    assert one.vertices == ((0,),)
+    assert one.pvalues.tolist() == [[1.0]] and one.mu.tolist() == [[True]]
+    # count_windows always sees one extendable history; a bare count table
+    # with no history of length L gives the empty graph
+    none = compatibility_graph(SimpleNamespace(L=1, counts={(): 0}, alphabet=BINARY), cfg)
+    assert none.vertices == () and none.edges() == []
+    assert none.pvalues.shape == none.mu.shape == (0, 0)
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_graph_bytes_independent_of_pair_block(monkeypatch, block):
+    wcs = random_window_counts(60, seed=23)
+
+    def graph_bytes():
+        return [(g.pvalues.tobytes(), g.mu.tobytes())
+                for g in (compatibility_graph(wc, TestConfig(test=t))
+                          for wc in wcs for t in ("freeman-tukey", "chi2"))]
+
+    default = graph_bytes()
+    monkeypatch.setattr(stat_tests, "_PAIR_BLOCK", block)
+    assert graph_bytes() == default
