@@ -20,20 +20,28 @@ import sys
 from .bench import METHODS, BenchConfig, parse_bench_config, run_bench, write_csv
 from .cliques import clique_pipeline
 from .cssr import cssr
-from .errors import MinpfsaError
+from .errors import FormatError, MinpfsaError
 from .exact import build_ip_model, solve_msdpfsa, write_lp
 from .machine import build_machine, to_dot, to_json
-from .sequences import count_windows, gen_fixture, parse_sequence, succ_table
+from .sequences import count_windows, gen_fixture, parse_sequence
 from .stat_tests import TESTS, TestConfig, compatibility_graph
 
 
-def _read_sequence(path, tokens=False):
-    if path == "-":
-        text = sys.stdin.read()
-    else:
+def _read_text(path):
+    """The text of a file, or of stdin for -; FormatError unless it decodes."""
+    try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path) as fh:
-            text = fh.read()
-    return parse_sequence(text, "tokens" if tokens else "chars")
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError("%s is not text: %s" % (path, exc))
+
+
+def _window_counts(args):
+    """The window counts of the --in sequence and the configured test."""
+    seq = parse_sequence(_read_text(args.infile), "tokens" if args.tokens else "chars")
+    return count_windows(seq, args.L), TestConfig(test=args.test, alpha=args.alpha)
 
 
 @contextlib.contextmanager
@@ -94,7 +102,7 @@ def infer(wc, method, config):
         return cssr(wc, config), None
     if method == "ip":
         graph = compatibility_graph(wc, config)
-        result = solve_msdpfsa(graph, succ_table(wc, graph.vertices))
+        result = solve_msdpfsa(graph, wc.succ)
         return build_machine(wc, result.partition), graph
     if method == "clique":
         result = clique_pipeline(wc, config)
@@ -103,39 +111,31 @@ def infer(wc, method, config):
 
 
 def cmd_infer(args):
-    seq = _read_sequence(args.infile, args.tokens)
-    cfg = TestConfig(test=args.test, alpha=args.alpha)
-    wc = count_windows(seq, args.L)
+    wc, cfg = _window_counts(args)
     machine, graph = infer(wc, args.method, cfg)
     render = to_dot if args.format == "dot" else to_json
     _write(args.out, render(machine))
     if args.lp:
         if graph is None:
             graph = compatibility_graph(wc, cfg)
-        model = build_ip_model(graph, succ_table(wc, graph.vertices))
+        model = build_ip_model(graph, wc.succ)
         with _output(args.lp) as fh:
             write_lp(model, fh)
     return 0
 
 
 def cmd_graph(args):
-    seq = _read_sequence(args.infile, args.tokens)
-    cfg = TestConfig(test=args.test, alpha=args.alpha)
-    wc = count_windows(seq, args.L)
+    wc, cfg = _window_counts(args)
     graph = compatibility_graph(wc, cfg)
-    lines = []
-    for i, h in enumerate(graph.vertices):
-        lines.append("# %d %s" % (i, seq.alphabet.render(h)))
-    for i, j in graph.edges():
-        lines.append("%d %d" % (i, j))
+    lines = ["# %d %s" % (i, wc.alphabet.render(h)) for i, h in enumerate(graph.vertices)]
+    lines += ["%d %d" % edge for edge in graph.edges()]
     _write(args.out, "\n".join(lines) + "\n")
     return 0
 
 
 def cmd_bench(args):
     if args.config:
-        with open(args.config) as fh:
-            config = parse_bench_config(fh.read())
+        config = parse_bench_config(_read_text(args.config))
     else:
         config = BenchConfig()
     rows = run_bench(config)

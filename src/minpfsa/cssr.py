@@ -14,24 +14,18 @@ deterministic.
 """
 
 from .machine import StatePartition, build_machine, split_to_deterministic
-from .sequences import histories
-from .stat_tests import TestConfig, count_list, list_pvalue
+from .stat_tests import TestConfig, list_pvalue
 
 
 def cssr_split(wc, config=None):
-    """Cluster the length-L histories of wc into approximately
-    homogeneous states.
-
-    Returns a StatePartition over the length-L histories (in order of
-    first appearance), numbering states in the order they open.
-    """
+    """Cluster the length-L histories wc.W into approximately homogeneous
+    states: a StatePartition over wc.W, numbering states in the order
+    they open."""
     cfg = config or TestConfig()
-    W = tuple(histories(wc))
     test = list_pvalue(cfg)
     pooled = []
     assign = []
-    for h in W:
-        ext = count_list(wc.extension_counts(h))
+    for ext in wc.ext.astype(float).tolist():
         best_p, best_state = -1.0, None
         for s, counts in enumerate(pooled):
             p = test(ext, counts)
@@ -43,7 +37,7 @@ def cssr_split(wc, config=None):
             best_state = len(pooled)
             pooled.append(ext)
         assign.append(best_state)
-    return StatePartition(W, tuple(assign))
+    return StatePartition(wc.W, tuple(assign))
 
 
 def cssr_reconstruct(partition, wc):

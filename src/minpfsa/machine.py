@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DeadEndError, FormatError
-from .sequences import Alphabet, SymbolSequence, state_dist, succ_table
+from .sequences import Alphabet, SymbolSequence, succ_table
 
 _SAMPLE_BLOCK = 65536  # uniforms drawn per rng.random call in sample
 
@@ -163,9 +163,9 @@ def build_machine(wc, partition):
 
     States are relabelled by smallest contained history. Each transition
     is read from succ_table: an observed continuation whose successor has
-    no state of its own is dropped. Emission probabilities pool the member
-    continuation counts; symbols that kept no transition lose their edge
-    and the remaining symbols are renormalized.
+    no state of its own is dropped. Emission probabilities pool the
+    members' rows of wc.ext; symbols that kept no transition lose their
+    edge and the remaining symbols are renormalized.
     """
     blocks = partition.blocks()
     order = sorted(range(len(blocks)), key=lambda s: min(blocks[s]))
@@ -180,9 +180,10 @@ def build_machine(wc, partition):
                 targets.setdefault((state[i], a), set()).add(state[l])
     delta = {key: frozenset(targets[key]) for key in sorted(targets)}
 
+    pooled = np.zeros((len(states), len(wc.alphabet)), dtype=np.int64)
+    np.add.at(pooled, state, wc.ext)
     probs = {}
-    for j, block in enumerate(states):
-        dist = state_dist(wc, block)
+    for j, dist in enumerate(pooled / pooled.sum(axis=1, keepdims=True)):
         kept = [a for a in range(len(wc.alphabet)) if (j, a) in delta]
         mass = float(sum(dist[a] for a in kept))
         for a in kept:
@@ -296,14 +297,17 @@ def from_json(text):
     An optional ``"start"`` field names the start state by its id; without
     it the first state is the start. ``to_json`` does not write the field,
     so a machine read back from its output starts in its first state.
-    Every ``prob`` must be a JSON number in [0, 1].
+    The alphabet must be a list of distinct strings and every ``prob`` a
+    JSON number in [0, 1].
     """
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError("not valid JSON: %s" % exc)
     try:
-        alphabet = Alphabet(tuple(obj["alphabet"]))
+        if type(obj["alphabet"]) is not list or any(type(t) is not str for t in obj["alphabet"]):
+            raise FormatError("alphabet is not a list of strings: %r" % (obj["alphabet"],))
+        alphabet = Alphabet(tuple(obj["alphabet"]))  # ValueError on a repeated symbol
         tok_index = {t: i for i, t in enumerate(alphabet.symbols)}
         ids = [s["id"] for s in obj["states"]]
         id_map = {sid: j for j, sid in enumerate(ids)}
@@ -335,7 +339,7 @@ def from_json(text):
             if obj["start"] not in id_map:
                 raise FormatError("start names no state: %r" % (obj["start"],))
             start = id_map[obj["start"]]
-    except (KeyError, TypeError, AttributeError) as exc:
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise FormatError("missing or malformed field: %s" % exc)
     delta = {k: frozenset(v) for k, v in delta.items()}
     return PFSA(alphabet, states, delta, probs, start)

@@ -142,16 +142,22 @@ def gen_fixture():
 
 
 class WindowCounts:
-    """Sliding-window counts of every subsequence of length 0 through L+1.
+    """Sliding-window counts of every subsequence of length 0 through L+1,
+    and the length-L histories with their continuation counts and
+    successors, which every route reads.
 
     counts maps a history tuple to the number of (overlapping) windows in
-    which it occurs; the empty tuple counts the sequence length. Counting
-    is not cyclic, so for any history x the extension counts can fall one
-    short of counts[x] when x occurs at the very end of the sequence.
+    which it occurs; the empty tuple counts the sequence length. Its keys
+    are in order of length, then of first appearance.
 
-    Insertion order of counts is by length, then by first appearance, so
-    iterating the keys of a given length yields histories in order of
-    first appearance.
+    W holds the length-L histories with a continuation, in order of first
+    appearance. Counting is not cyclic, so a history's continuations can
+    fall one short of its count, and the final window of the sequence is
+    left out of W when it occurs nowhere else. Row i of the int64 array
+    ext holds the continuation counts of W[i], and succ[i][a] is the index
+    in W of its shift-append successor under a, or None when W[i] never
+    continues with a or the successor is left out of W (the
+    end-of-sequence rule).
 
     Each length-k window gets an int64 code: the rank of its length-(k-1)
     prefix among the distinct prefixes, times |A|, plus its last symbol.
@@ -159,6 +165,7 @@ class WindowCounts:
     whatever the alphabet size or L; plain base-|A| codes would overflow
     once |A|^(L+1) exceeds 2^63. Each level is ranked in the narrowest
     unsigned dtype that holds its codes: numpy radix-sorts up to 16 bits.
+    The codes of length L+1 index the cells of ext by history rank.
     """
 
     def __init__(self, seq, L):
@@ -171,14 +178,15 @@ class WindowCounts:
             )
         self.alphabet = seq.alphabet
         self.L = L
-        self.total = len(seq)
         counts = {(): len(seq)}
         toks = np.asarray(seq.tokens, dtype=np.int64)
         tok_list = toks.tolist()
-        rank = np.zeros(len(toks), dtype=np.int64)
+        # one rank per window of the current length, the n + 1 empty ones first
+        rank, first = np.zeros(len(toks) + 1, dtype=np.int64), np.zeros(1, dtype=np.int64)
         for k in range(1, L + 2):
+            hist_rank, hist_first = rank, first
             code = rank[:len(toks) - k + 1] * len(seq.alphabet) + toks[k - 1:]
-            _, first, rank, num = np.unique(
+            cells, first, rank, num = np.unique(
                 code.astype(np.min_scalar_type(int(code.max()))),
                 return_index=True, return_inverse=True, return_counts=True,
             )
@@ -186,6 +194,18 @@ class WindowCounts:
             for i, c in zip(first[order].tolist(), num[order].tolist()):
                 counts[tuple(tok_list[i:i + k])] = c
         self.counts = counts
+        ext = np.zeros((len(hist_first), len(seq.alphabet)), dtype=np.int64)
+        ext.flat[cells] = num
+        nxt = np.full(ext.shape, -1)
+        nxt[hist_rank[:-1], toks[L:]] = hist_rank[1:]
+        order = np.argsort(hist_first)
+        order = order[ext[order].sum(axis=1) > 0]
+        index = np.full(len(ext) + 1, -1)  # index[-1] keeps -1 for no successor
+        index[order] = np.arange(len(order))
+        self.W = tuple(tuple(tok_list[i:i + L]) for i in hist_first[order].tolist())
+        self.ext = ext[order]
+        self.succ = tuple(tuple(None if j < 0 else j for j in row)
+                          for row in index[nxt[order]].tolist())
 
     def count(self, history):
         return self.counts.get(tuple(history), 0)
@@ -215,21 +235,11 @@ def successor(history, symbol):
 
 
 def succ_table(wc, W):
-    """succ[i][a] = index in W of the shift-append successor of W[i] under
-    symbol a, or None when that continuation was never observed or its
-    successor has no state of its own (end-of-sequence corner)."""
-    W = [tuple(h) for h in W]
-    index = {h: i for i, h in enumerate(W)}
-    table = []
-    for h in W:
-        row = []
-        for a in range(len(wc.alphabet)):
-            if wc.count(h + (a,)) > 0:
-                row.append(index.get(successor(h, a)))
-            else:
-                row.append(None)
-        table.append(tuple(row))
-    return tuple(table)
+    """The successor table wc.succ of W = histories(wc); see WindowCounts.
+    Raises ValueError for any other W."""
+    if tuple(map(tuple, W)) != wc.W:
+        raise ValueError("succ_table is defined on histories(wc) only")
+    return wc.succ
 
 
 def cond_dist(wc, history):
@@ -260,16 +270,10 @@ def state_dist(wc, histories):
 
 
 def histories(wc, length=None):
-    """Distinct histories of the given length (default L) that have at
-    least one observed continuation, in order of first appearance.
-
-    This is the vertex set for compatibility graphs and solvers. Histories
-    seen only as the final window of the sequence are excluded because
-    their conditional distribution is undefined.
-    """
+    """Distinct histories of the given length (default L, giving wc.W)
+    that have an observed continuation, in order of first appearance."""
     k = wc.L if length is None else length
-    out = []
-    for h in wc.counts:
-        if len(h) == k and wc.extension_counts(h).sum() > 0:
-            out.append(h)
-    return out
+    if k == wc.L:
+        return list(wc.W)
+    extended = {h[:-1] for h in wc.counts if len(h) == k + 1}
+    return [h for h in wc.counts if len(h) == k and h in extended]

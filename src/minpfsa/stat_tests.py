@@ -52,7 +52,6 @@ import numpy as np
 from scipy.special import chdtrc, gammaln
 
 from .errors import DegenerateSampleError
-from .sequences import histories
 
 TESTS = ("freeman-tukey", "chi2", "ks")
 
@@ -324,17 +323,15 @@ def _chi2_family_pairs(freeman_tukey, E, tot, i, l):
 def compatibility_graph(wc, config=None):
     """Build the compatibility graph of the length-L histories of wc."""
     cfg = config or TestConfig()
-    verts = tuple(histories(wc))
-    n = len(verts)
+    n = len(wc.W)
+    E = wc.ext.astype(float)
     pvals = np.ones((n, n))
     if cfg.test == "ks":
-        ext = [count_list(wc.extension_counts(v)) for v in verts]
+        ext = E.tolist()
         for i in range(n):
             for l in range(i + 1, n):
                 pvals[i, l] = pvals[l, i] = _ks_lists(ext[i], ext[l])
     else:
-        E = np.array([wc.extension_counts(v) for v in verts], dtype=float)
-        E = E.reshape(n, len(wc.alphabet))
         tot = E.sum(axis=1)
         # pairs i < l in row-major order; row i starts at pair starts[i]
         rows = np.arange(n)
@@ -346,4 +343,4 @@ def compatibility_graph(wc, config=None):
             i = np.searchsorted(starts, q, side="right") - 1
             l = q - starts[i] + i + 1
             pvals[i, l] = pvals[l, i] = _chi2_family_pairs(freeman_tukey, E, tot, i, l)
-    return CompatibilityGraph(verts, pvals, pvals > cfg.alpha)
+    return CompatibilityGraph(wc.W, pvals, pvals > cfg.alpha)

@@ -336,6 +336,15 @@ def test_cli_missing_input_returns_one(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["infer", "--in"], ["graph", "--in"], ["bench", "--config"]])
+def test_cli_non_utf8_input_returns_one(command, tmp_path, capsys):
+    path = tmp_path / "input.bin"
+    path.write_bytes(b"\xff\xfe\x00abc")
+    assert main(command + [str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: %s is not text" % path) and "Traceback" not in err
+
+
 def test_cli_bad_config_returns_one(tmp_path, capsys):
     cfg = tmp_path / "bench.cfg"
     cfg.write_text("colour = red\n")

@@ -18,6 +18,7 @@ from minpfsa import (
     gen_fixture,
     histories,
 )
+from minpfsa.cli import infer
 from minpfsa.oracles import brute_force_min_states
 from tests.conftest import make_instances
 
@@ -56,11 +57,12 @@ def test_split_levels_match_shorter_counts():
         assert part == cssr_split(wc)
 
 
-def test_split_reads_each_history_counts_once(monkeypatch):
+def test_split_reads_each_history_counts_once(monkeypatch, fixture_wc):
+    # count_windows derives each history's continuation counts and
+    # successors once; no route reads them again through the count table
     toks = np.random.default_rng(3).integers(4, size=20000)
     wc = count_windows(from_tokens(toks, Alphabet(("a", "b", "c", "d"))), 3)
-    n = len(histories(wc))
-    assert n == 64
+    assert len(wc.W) == 64
     calls = []
     extension_counts = WindowCounts.extension_counts
 
@@ -69,9 +71,10 @@ def test_split_reads_each_history_counts_once(monkeypatch):
         return extension_counts(self, history)
 
     monkeypatch.setattr(WindowCounts, "extension_counts", counted)
-    cssr_split(wc)
-    # once to list the extendable histories, once to cluster each
-    assert len(calls) <= 2 * n
+    infer(wc, "cssr", TestConfig())
+    for method in ("cssr", "ip", "clique"):
+        infer(fixture_wc, method, TestConfig())
+    assert calls == []
 
 
 def test_reconstruct_splits_inconsistent_state(fixture_wc):

@@ -447,6 +447,15 @@ def test_from_json_accepts_unit_interval_ends(prob):
     assert from_json(json.dumps(obj)).probs[(0, 0)] == prob
 
 
+@pytest.mark.parametrize("alphabet", [["0", "0"], [0, 1], ["0", 1], "01", None])
+def test_from_json_rejects_bad_alphabet(alphabet):
+    m = PFSA(BINARY, ((), ()), {(0, 0): frozenset([1])}, {(0, 0): 1.0})
+    obj = json.loads(to_json(m))
+    obj["alphabet"] = alphabet
+    with pytest.raises(FormatError, match="alphabet"):
+        from_json(json.dumps(obj))
+
+
 def test_from_json_rejects_duplicate_state_id():
     m = PFSA(BINARY, ((), ()), {(0, 0): frozenset([1])}, {(0, 0): 1.0})
     obj = json.loads(to_json(m))

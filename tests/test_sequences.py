@@ -20,6 +20,7 @@ from minpfsa import (
     histories,
     parse_sequence,
     state_dist,
+    succ_table,
     successor,
 )
 
@@ -238,6 +239,53 @@ def test_continuation_counts_within_boundary_slack(tokens):
         for w in naive_window_counts(tokens, k):
             ext = sum(wc.count(w + (a,)) for a in range(2))
             assert 0 <= wc.count(w) - ext <= 1
+
+
+def successor_table_by_lookup(wc, W):
+    """Test-local oracle: the dict-lookup successor table that
+    WindowCounts.succ replaced."""
+    index = {h: i for i, h in enumerate(W)}
+    table = []
+    for h in W:
+        row = []
+        for a in range(len(wc.alphabet)):
+            if wc.count(h + (a,)) > 0:
+                row.append(index.get(successor(h, a)))
+            else:
+                row.append(None)
+        table.append(tuple(row))
+    return tuple(table)
+
+
+def test_history_table_matches_count_lookups():
+    rng = np.random.default_rng(47)
+    cases = [(from_text("001001011", BINARY), 2)]
+    for k in range(1, 7):
+        for L in range(6):
+            for n in (L + 1, L + 2, 30, 300):
+                toks = rng.integers(k, size=n)
+                toks[: n // 3] = toks[0]
+                cases.append((parse_sequence("".join("abcdef"[t] for t in toks), "chars"), L))
+                cases.append((parse_sequence(" ".join("w%d" % t for t in toks), "tokens"), L))
+    for seq, L in cases:
+        wc = count_windows(seq, L)
+        for level in range(L + 1):
+            by_sum = [h for h in wc.counts
+                      if len(h) == level and wc.extension_counts(h).sum() > 0]
+            assert histories(wc, level) == by_sum
+        W = list(wc.W)
+        assert W == by_sum  # of level L, the last
+        assert wc.ext.dtype == np.int64 and wc.ext.shape == (len(W), len(seq.alphabet))
+        assert wc.ext.tolist() == [wc.extension_counts(h).tolist() for h in W]
+        assert wc.succ == successor_table_by_lookup(wc, W)
+        assert succ_table(wc, W) is wc.succ
+        with pytest.raises(ValueError):
+            succ_table(wc, W[1:])
+    # 11 ends 001001011 at L = 2 and occurs nowhere else, so it has no
+    # row, and 01 -> 1 has no successor
+    corner = count_windows(from_text("001001011", BINARY), 2)
+    assert corner.W == ((0, 0), (0, 1), (1, 0))
+    assert corner.succ == ((None, 1), (2, None), (0, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -425,9 +425,10 @@ def test_graph_of_one_or_no_history(test):
     one = compatibility_graph(count_windows(from_tokens([0, 0, 0, 0], BINARY), 1), cfg)
     assert one.vertices == ((0,),)
     assert one.pvalues.tolist() == [[1.0]] and one.mu.tolist() == [[True]]
-    # count_windows always sees one extendable history; a bare count table
+    # count_windows always sees one extendable history; a bare history table
     # with no history of length L gives the empty graph
-    none = compatibility_graph(SimpleNamespace(L=1, counts={(): 0}, alphabet=BINARY), cfg)
+    none = compatibility_graph(SimpleNamespace(L=1, counts={(): 0}, alphabet=BINARY, W=(),
+                                               ext=np.zeros((0, 2), dtype=np.int64)), cfg)
     assert none.vertices == () and none.edges() == []
     assert none.pvalues.shape == none.mu.shape == (0, 0)
 
