@@ -10,13 +10,14 @@ Each run executes in a forked child process so a hung method can be
 killed at the configured timeout. The child inherits the sampled
 sequence through the fork, and the seconds it reports are measured
 around the same route code that ``minpfsa infer`` runs (``cli.infer``),
-from counting the windows to the built machine. A run killed at the
-timeout, or one whose own seconds exceed it, is flagged ``timeout``.
-A configuration value that ``BenchConfig`` rejects is a FormatError in
-``parse_bench_config``, so ``minpfsa bench`` exits 1 on it.
+from counting the windows to the built machine. The parent loads
+scipy.special before the first fork, so no child's seconds include that
+import. A run killed at the timeout, or one whose own seconds exceed it,
+is flagged ``timeout``. A configuration value that ``BenchConfig``
+rejects is a FormatError in ``parse_bench_config``, so ``minpfsa bench``
+exits 1 on it.
 """
 
-import multiprocessing
 import time
 from dataclasses import dataclass, fields
 
@@ -25,7 +26,7 @@ import numpy as np
 from .errors import FormatError
 from .machine import PFSA, sample
 from .sequences import Alphabet, count_windows
-from .stat_tests import TestConfig
+from .stat_tests import TestConfig, load_special
 
 METHODS = ("cssr", "ip", "clique")
 
@@ -131,6 +132,8 @@ def _child(conn, cfg_point):
 
 def _timed_run(cfg_point, timeout):
     """Run one point in a forked child; return (seconds, states, flag)."""
+    import multiprocessing  # here, so that importing the package does not load it
+
     ctx = multiprocessing.get_context("fork")
     parent, child = ctx.Pipe(duplex=False)
     proc = ctx.Process(target=_child, args=(child, cfg_point))
@@ -166,6 +169,7 @@ def run_bench(config):
     deterministic optimum).
     """
     test_config = TestConfig(test=config.test, alpha=config.alpha)
+    load_special()
     rows = []
     for n_symbols in config.alphabets:
         alphabet = Alphabet(tuple(str(i) for i in range(n_symbols)))

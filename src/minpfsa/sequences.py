@@ -100,11 +100,20 @@ def parse_sequence(text, mode="chars"):
     symbols in first-appearance order.
     """
     if mode == "chars":
-        items = list("".join(text.split()))
-    elif mode == "tokens":
-        items = text.split()
-    else:
+        chars = "".join(text.split())
+        if not chars:
+            raise EmptySequenceError("sequence has no symbols")
+        # one code point per character; surrogatepass keeps lone surrogates
+        codes = np.frombuffer(chars.encode("utf-32-le", "surrogatepass"), "<u4")
+        distinct, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty(len(order), dtype=np.int64)
+        rank[order] = np.arange(len(order))
+        alphabet = Alphabet(tuple(map(chr, distinct[order].tolist())))
+        return SymbolSequence(alphabet, rank[inverse])
+    if mode != "tokens":
         raise ValueError("mode must be 'chars' or 'tokens', not %r" % mode)
+    items = text.split()
     if not items:
         raise EmptySequenceError("sequence has no symbols")
     alphabet = Alphabet(tuple(dict.fromkeys(items)))

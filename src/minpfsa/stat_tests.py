@@ -42,6 +42,14 @@ bit, the p-value of the per-comparison form on the same two vectors of
 whole-number counts. It sums every column from left to right, a dropped
 column adding an exact 0.0, and a pair with 8 or more kept columns takes
 ``np.sum`` over its kept cells.
+
+scipy.special, which supplies ``chdtrc`` and ``gammaln``, takes longer to
+import than the rest of the package together, so it is loaded on the
+first p-value rather than at import. ``load_special`` binds the two
+module names to scipy's ufuncs; until then each name is a stand-in that
+calls it and then the ufunc, so every later call goes straight to scipy.
+A caller that forks workers calls ``load_special`` first, or each worker
+pays the import again.
 """
 
 import math
@@ -49,11 +57,29 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.special import chdtrc, gammaln
 
 from .errors import DegenerateSampleError
 
 TESTS = ("freeman-tukey", "chi2", "ks")
+
+
+def load_special():
+    """Import scipy.special and bind ``chdtrc`` and ``gammaln`` here to
+    its ufuncs. Calling it again changes nothing."""
+    global chdtrc, gammaln
+    import scipy.special
+
+    chdtrc, gammaln = scipy.special.chdtrc, scipy.special.gammaln
+
+
+def chdtrc(*args):  # rebound to scipy.special.chdtrc by load_special
+    load_special()
+    return chdtrc(*args)
+
+
+def gammaln(*args):  # rebound to scipy.special.gammaln by load_special
+    load_special()
+    return gammaln(*args)
 
 
 @dataclass(frozen=True)

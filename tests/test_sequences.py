@@ -75,6 +75,35 @@ def test_parse_bad_mode():
         parse_sequence("01", "words")
 
 
+def per_char_parse(text):
+    """Test-local oracle: char mode as one Python step per character."""
+    items = list("".join(text.split()))
+    if not items:
+        raise EmptySequenceError("sequence has no symbols")
+    alphabet = Alphabet(tuple(dict.fromkeys(items)))
+    lookup = {tok: i for i, tok in enumerate(alphabet.symbols)}
+    return alphabet, np.array([lookup[t] for t in items], dtype=np.int64)
+
+
+def test_parse_chars_matches_per_char_definition():
+    rng = np.random.default_rng(17)
+    pool = list("01abXYZ") + ["é", "中", "\U0001f600", "\ud800"] + list(" \n\t\xa0　")
+    texts = ["", " \n", gen_fixture().text(), "".join(rng.choice(list("ACGT"), 20000))]
+    for _ in range(2000):
+        texts.append("".join(rng.choice(pool, int(rng.integers(0, 60)))))
+    for text in texts:
+        try:
+            alphabet, tokens = per_char_parse(text)
+        except EmptySequenceError as exc:
+            with pytest.raises(EmptySequenceError, match=str(exc)):
+                parse_sequence(text, "chars")
+            continue
+        seq = parse_sequence(text, "chars")
+        assert seq.alphabet == alphabet
+        assert seq.tokens.dtype == tokens.dtype
+        assert seq.tokens.tobytes() == tokens.tobytes()
+
+
 def test_from_text_rejects_unknown_symbol():
     with pytest.raises(FormatError):
         from_text("012", BINARY)

@@ -270,6 +270,54 @@ def test_import_does_not_load_scipy_stats():
     assert out.stdout.strip() == "False"
 
 
+def run_fresh(code, *args):
+    """Standard output of code run in a new interpreter that imports the
+    package from this checkout."""
+    src = os.path.dirname(os.path.dirname(minpfsa.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True
+    )
+    return out.stdout
+
+
+def test_import_loads_no_scipy_and_bench_loads_it_before_forking():
+    # the forked children must not pay the scipy.special import in their timers
+    code = (
+        "import sys, minpfsa, minpfsa.cli\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[0] in ('scipy', 'multiprocessing')))\n"
+        "rows = minpfsa.run_bench(minpfsa.BenchConfig(\n"
+        "    methods=('cssr',), alphabets=(2,), lengths=(100,), reps=1))\n"
+        "print([r['flag'] for r in rows])\n"
+        "print('scipy.special' in sys.modules)\n"
+    )
+    assert run_fresh(code).split("\n") == ["[]", "['ok']", "True", ""]
+
+
+FIRST_CALLS = {
+    "ft": "ft_pvalue((9, 3, 0, 5), (4, 6, 2, 5))",
+    "chi2": "chi2_pvalue((9, 3, 0, 5), (4, 6, 2, 5))",
+    "ks": "ks_pvalue((9, 3, 0, 5), (4, 6, 2, 5))",
+    "graph": "compatibility_graph(count_windows(gen_fixture(), 2)).pvalues",
+}
+
+
+@pytest.mark.parametrize("first", sorted(FIRST_CALLS))
+def test_first_pvalue_of_a_fresh_process_is_bit_identical(first):
+    # the first call goes through the stand-in that loads scipy.special
+    code = (
+        "import sys, numpy as np, minpfsa\n"
+        "assert 'scipy.special' not in sys.modules\n"
+        "for expr in sys.argv[1:]:\n"
+        "    print(' '.join(float(v).hex() for v in np.ravel(eval(expr, vars(minpfsa)))))\n"
+    )
+    exprs = [FIRST_CALLS[first]] + [e for k, e in sorted(FIRST_CALLS.items()) if k != first]
+    fresh = run_fresh(code, *exprs).splitlines()
+    here = [" ".join(float(v).hex() for v in np.ravel(eval(e, vars(minpfsa)))) for e in exprs]
+    assert fresh == here
+
+
 def test_degenerate_sample():
     with pytest.raises(DegenerateSampleError):
         chi2_pvalue((0, 0), (1, 2))
