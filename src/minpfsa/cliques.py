@@ -15,8 +15,8 @@ each checks the other.
 
 from dataclasses import dataclass
 
-from .errors import CoverOverflowError
-from .exact import _bitsets, _clique_partitions, _greedy_is, _vertices
+from .errors import CoverOverflowError, SearchDepthError
+from .exact import _TOO_DEEP, _bitsets, _clique_partitions, _greedy_is, _vertices
 from .machine import StatePartition, build_machine, split_to_deterministic
 from .stat_tests import TestConfig, compatibility_graph
 
@@ -53,13 +53,11 @@ def bron_kerbosch(graph):
 
 @dataclass(frozen=True)
 class CoverResult:
-    """A minimum clique cover: the optimum count, the chosen cliques
-    (sorted), and one vertex-to-clique assignment resolving overlaps by
-    first chosen clique."""
+    """A minimum clique cover: the optimum count and the chosen cliques,
+    sorted; the cliques may overlap."""
 
     optimum: int
     cover: tuple
-    assignment: tuple
     k_upper: int | None = None
 
 
@@ -120,13 +118,8 @@ def min_clique_cover(cliques, n_vertices, k_upper=None):
 
     recurse(full)
 
-    chosen_cliques = tuple(sorted(cliques[ci] for ci in best["chosen"]))
-    assignment = [None] * n_vertices
-    for c in chosen_cliques:
-        for v in c:
-            if assignment[v] is None:
-                assignment[v] = c
-    return CoverResult(best["count"], chosen_cliques, tuple(assignment), k_upper)
+    cover = tuple(sorted(cliques[ci] for ci in best["chosen"]))
+    return CoverResult(best["count"], cover, k_upper)
 
 
 def enumerate_exact_covers(graph, optimum=None, cap=10000):
@@ -134,18 +127,22 @@ def enumerate_exact_covers(graph, optimum=None, cap=10000):
     blocks ordered by their smallest vertex, in the first-fit order of
     ``exact._clique_partitions``. When optimum is None it is the fewest
     cliques, proven in the same pass; a graph without vertices then raises
-    ValueError. Raises CoverOverflowError past ``cap``."""
+    ValueError. Raises CoverOverflowError past ``cap``, and
+    SearchDepthError when the search nests too deep."""
     adj = _bitsets(graph)
     if optimum is None and not adj:
         raise ValueError("no histories to assign")
     covers = []
-    for k, assign, _ in _clique_partitions(adj, optimum):
-        blocks = [[] for _ in range(k)]
-        for v, s in enumerate(assign):
-            blocks[s].append(v)
-        covers.append(tuple(map(tuple, blocks)))
-        if len(covers) > cap:
-            raise CoverOverflowError("more than %d exact covers of %d cliques" % (cap, k))
+    try:
+        for k, assign, _ in _clique_partitions(adj, optimum):
+            blocks = [[] for _ in range(k)]
+            for v, s in enumerate(assign):
+                blocks[s].append(v)
+            covers.append(tuple(map(tuple, blocks)))
+            if len(covers) > cap:
+                raise CoverOverflowError("more than %d exact covers of %d cliques" % (cap, k))
+    except RecursionError:
+        raise SearchDepthError(_TOO_DEEP % len(adj)) from None
     return covers
 
 

@@ -38,5 +38,9 @@ class CoverOverflowError(MinpfsaError):
     """Exact-cover enumeration exceeded the configured cap."""
 
 
+class SearchDepthError(MinpfsaError):
+    """An exact search would nest deeper than Python's recursion limit."""
+
+
 class FormatError(MinpfsaError):
     """A file being read does not match the expected format."""

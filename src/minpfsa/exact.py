@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import SearchDepthError
 from .machine import StatePartition
 # kept importable here: perfbench/routes.py imports succ_table from this module
 from .sequences import succ_table  # noqa: F401
@@ -305,14 +306,23 @@ def _clique_partitions(adj, k=None):
     yield from walk(0, [], witness)
 
 
+# the searches recurse once per history, so enough histories reach
+# Python's recursion limit
+_TOO_DEEP = "%d histories nest the search deeper than Python allows"
+
+
 def _solved(graph, search):
     """Run ``search(adj)`` on the graph's bitsets, timed, and wrap the
-    optimum, assign vector and node count it returns as a SolveResult."""
+    optimum, assign vector and node count it returns as a SolveResult.
+    Raises SearchDepthError when the search nests too deep."""
     t0 = time.perf_counter()
     adj = _bitsets(graph)
     if not adj:
         raise ValueError("no histories to assign")
-    k, assign, explored = search(adj)
+    try:
+        k, assign, explored = search(adj)
+    except RecursionError:
+        raise SearchDepthError(_TOO_DEEP % len(adj)) from None
     W = getattr(graph, "vertices", tuple((i,) for i in range(len(adj))))
     part = StatePartition(tuple(tuple(h) for h in W), assign)
     return SolveResult(k, part, explored, time.perf_counter() - t0)
@@ -375,7 +385,6 @@ class IPModel:
         n, m = self.n, self.n_symbols
         return {
             "x": n * n,
-            "z": m * n * n,
             "y": m * n * n if self.deterministic else 0,
             "p": n,
         }

@@ -282,7 +282,5 @@ def histories(wc, length=None):
     """Distinct histories of the given length (default L, giving wc.W)
     that have an observed continuation, in order of first appearance."""
     k = wc.L if length is None else length
-    if k == wc.L:
-        return list(wc.W)
     extended = {h[:-1] for h in wc.counts if len(h) == k + 1}
     return [h for h in wc.counts if len(h) == k and h in extended]

@@ -312,11 +312,14 @@ class CompatibilityGraph:
 _PAIR_BLOCK = 1 << 12
 
 
-def _chi2_family_pairs(freeman_tukey, E, tot, i, l):
-    """``_chi2_family_pvalue`` of the count rows E[i[k]] and E[l[k]] for
-    every k, bit for bit, where tot holds the row totals of E. Every row
-    must have a positive total, as every history of the graph has; see
-    the module docstring for the order of the arithmetic."""
+def _pair_pvalues(test, E, tot, i, l):
+    """The named test's p-value of the count rows E[i[k]] and E[l[k]] for
+    every k, bit for bit that of ``list_pvalue``, where tot holds the row
+    totals of E. Every row must have a positive total, as every history of
+    the graph has; see the module docstring for the order of the
+    arithmetic."""
+    if test == "ks":
+        return [_ks_lists(a, b) for a, b in zip(E[i].tolist(), E[l].tolist())]
     x, y = E[i], E[l]
     na, nb = tot[i, None], tot[l, None]
     t = x + y
@@ -324,7 +327,7 @@ def _chi2_family_pairs(freeman_tukey, E, tot, i, l):
     n = na + nb
     ea = na * t / n
     eb = nb * t / n
-    if freeman_tukey:
+    if test == "freeman-tukey":
         da = np.sqrt(x) - np.sqrt(ea)
         db = np.sqrt(y) - np.sqrt(eb)
         cells = 4.0 * (da * da) + 4.0 * (db * db)
@@ -352,21 +355,14 @@ def compatibility_graph(wc, config=None):
     n = len(wc.W)
     E = wc.ext.astype(float)
     pvals = np.ones((n, n))
-    if cfg.test == "ks":
-        ext = E.tolist()
-        for i in range(n):
-            for l in range(i + 1, n):
-                pvals[i, l] = pvals[l, i] = _ks_lists(ext[i], ext[l])
-    else:
-        tot = E.sum(axis=1)
-        # pairs i < l in row-major order; row i starts at pair starts[i]
-        rows = np.arange(n)
-        starts = rows * (2 * n - rows - 1) // 2
-        pairs = n * (n - 1) // 2
-        freeman_tukey = cfg.test == "freeman-tukey"
-        for s in range(0, pairs, _PAIR_BLOCK):
-            q = np.arange(s, min(s + _PAIR_BLOCK, pairs))
-            i = np.searchsorted(starts, q, side="right") - 1
-            l = q - starts[i] + i + 1
-            pvals[i, l] = pvals[l, i] = _chi2_family_pairs(freeman_tukey, E, tot, i, l)
+    tot = E.sum(axis=1)
+    # pairs i < l in row-major order; row i starts at pair starts[i]
+    rows = np.arange(n)
+    starts = rows * (2 * n - rows - 1) // 2
+    pairs = n * (n - 1) // 2
+    for s in range(0, pairs, _PAIR_BLOCK):
+        q = np.arange(s, min(s + _PAIR_BLOCK, pairs))
+        i = np.searchsorted(starts, q, side="right") - 1
+        l = q - starts[i] + i + 1
+        pvals[i, l] = pvals[l, i] = _pair_pvalues(cfg.test, E, tot, i, l)
     return CompatibilityGraph(wc.W, pvals, pvals > cfg.alpha)

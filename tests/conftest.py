@@ -11,6 +11,7 @@ from minpfsa import (
     count_windows,
     from_tokens,
     gen_fixture,
+    parse_sequence,
     succ_table,
 )
 
@@ -23,6 +24,24 @@ def fixture_wc():
 @pytest.fixture(scope="session")
 def fixture_graph(fixture_wc):
     return compatibility_graph(fixture_wc)
+
+
+@pytest.fixture(scope="session")
+def deep_text():
+    """20,000 uniform symbols over abcd: at L = 5 it has 1,024 histories,
+    so the exact searches nest deeper than Python's recursion limit."""
+    rng = np.random.default_rng(1)
+    return "".join("abcd"[i] for i in rng.integers(4, size=20000)) + "\n"
+
+
+@pytest.fixture(scope="session")
+def deep_wc(deep_text):
+    return count_windows(parse_sequence(deep_text, "chars"), 5)
+
+
+@pytest.fixture(scope="session")
+def deep_graph(deep_wc):
+    return compatibility_graph(deep_wc)
 
 
 def make_instances(count, seed, max_histories=8, min_len=40, max_len=120):

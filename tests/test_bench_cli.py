@@ -303,13 +303,17 @@ def test_cli_lp_is_the_model_text(source, L, n, request, tmp_path, capsys):
     graph = compatibility_graph(wc, TestConfig())
     assert len(graph.vertices) == n
     expect = to_lp_text(build_ip_model(graph, succ_table(wc, graph.vertices))).splitlines(True)
-    argv = ["infer", "--in", path, "--method", "ip", "--L", str(L),
-            "--out", str(tmp_path / "machine.json"), "--lp"]
-    lp = tmp_path / "model.lp"
-    assert main(argv + [str(lp)]) == 0
-    assert lp.read_text().splitlines(True) == expect
+    argv = ["infer", "--in", path, "--L", str(L), "--out", str(tmp_path / "machine.json")]
+    # the model depends only on the graph and wc.succ, so every route writes
+    # the same bytes, cssr's too, which builds the graph only for --lp
+    lp = {}
+    for method in ("ip", "cssr", "clique"):
+        lp[method] = tmp_path / ("%s.lp" % method)
+        assert main(argv + ["--method", method, "--lp", str(lp[method])]) == 0
+    assert lp["ip"].read_text().splitlines(True) == expect
+    assert lp["cssr"].read_bytes() == lp["clique"].read_bytes() == lp["ip"].read_bytes()
     capsys.readouterr()
-    assert main(argv + ["-"]) == 0
+    assert main(argv + ["--method", "ip", "--lp", "-"]) == 0
     assert capsys.readouterr().out.splitlines(True) == expect
 
 
@@ -359,6 +363,14 @@ def test_cli_bad_test_in_config_returns_one(tmp_path, capsys):
     assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 1
     assert "unknown test" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_search_depth_returns_one(deep_text, tmp_path, capsys):
+    path = tmp_path / "deep.txt"
+    path.write_text(deep_text)
+    assert main(["infer", "--in", str(path), "--method", "clique", "--L", "5"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: 1024 histories nest the search deeper than Python allows\n"
 
 
 def test_infer_unknown_method():

@@ -9,6 +9,7 @@ from minpfsa import (
     BINARY,
     CoverOverflowError,
     CoverResult,
+    SearchDepthError,
     bron_kerbosch,
     check_determinism,
     clique_pipeline,
@@ -100,9 +101,7 @@ def test_min_clique_cover_fixture(fixture_graph):
     assert result.optimum == 3
     assert result.k_upper == 4
     assert set(result.cover) <= set(cliques)
-    for v, clique in enumerate(result.assignment):
-        assert clique in result.cover
-        assert v in clique
+    assert set().union(*result.cover) == set(range(4))
 
 
 def test_min_clique_cover_disjoint_triangles():
@@ -166,12 +165,7 @@ def min_clique_cover_reference(cliques, n_vertices, k_upper=None):
 
     recurse(frozenset(range(n_vertices)))
     cover = tuple(sorted(cliques[ci] for ci in best["chosen"]))
-    assignment = [None] * n_vertices
-    for c in cover:
-        for v in c:
-            if assignment[v] is None:
-                assignment[v] = c
-    return CoverResult(best["count"], cover, tuple(assignment), k_upper)
+    return CoverResult(best["count"], cover, k_upper)
 
 
 def test_min_clique_cover_matches_reference(instance_pool):
@@ -309,6 +303,16 @@ def test_reconstruct_deterministic_fixture(fixture_graph, fixture_wc):
     assert split.num_states == 4
     singles = reconstruct_deterministic(((0,), (1,), (2,), (3,)), W, fixture_wc)
     assert singles.num_states == 4
+    for bad in (((0, 3), (1, 3), (2,)), ((0, 3), (1,))):  # overlapping, short
+        with pytest.raises(ValueError, match="^cover is not a partition of the vertices$"):
+            reconstruct_deterministic(bad, W, fixture_wc)
+
+
+def test_search_depth_limit_raises_typed_error(deep_wc, deep_graph):
+    with pytest.raises(SearchDepthError, match="^1024 histories nest the search deeper"):
+        enumerate_exact_covers(deep_graph)
+    with pytest.raises(SearchDepthError, match="^1024 histories nest the search deeper"):
+        clique_pipeline(deep_wc)
 
 
 def test_reconstruct_refines_the_cover():

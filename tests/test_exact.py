@@ -26,7 +26,7 @@ from minpfsa import (
     write_lp,
 )
 from minpfsa.cliques import bron_kerbosch, clique_pipeline, min_clique_cover
-from minpfsa.errors import CoverOverflowError
+from minpfsa.errors import CoverOverflowError, SearchDepthError
 from minpfsa.exact import _bitsets, _clique_partitions
 from minpfsa.oracles import brute_force_min_states, lp_rows, solve_ip_model
 from tests.conftest import make_instances
@@ -95,6 +95,20 @@ def test_nondeterministic_search_fixture(fixture_graph):
 def test_deterministic_search_needs_succ(fixture_graph):
     with pytest.raises(ValueError):
         solve_msdpfsa(fixture_graph, None)
+
+
+def test_searches_reject_an_empty_graph():
+    empty = np.zeros((0, 0), dtype=bool)
+    with pytest.raises(ValueError, match="^no histories to assign$"):
+        solve_msndpfsa(empty)
+    with pytest.raises(ValueError, match="^no histories to assign$"):
+        brute_force_min_states(empty)
+
+
+def test_search_depth_limit_raises_typed_error(deep_graph):
+    assert len(deep_graph.vertices) == 1024
+    with pytest.raises(SearchDepthError, match="^1024 histories nest the search deeper"):
+        solve_msndpfsa(deep_graph)
 
 
 def test_edgeless_graph_needs_one_state_per_history():
@@ -395,10 +409,13 @@ def test_clique_route_overflows_fast(key):
 
 
 def test_ip_variable_counts(fixture_graph, fixture_succ):
-    model = build_ip_model(fixture_graph, fixture_succ)
-    assert model.variable_counts() == {"x": 16, "z": 32, "y": 32, "p": 4}
-    relaxed = build_ip_model(fixture_graph, fixture_succ, deterministic=False)
-    assert relaxed.variable_counts()["y"] == 0
+    # z holds constants, not variables: the counts name every LP binary
+    for deterministic, total in ((True, 52), (False, 20)):
+        model = build_ip_model(fixture_graph, fixture_succ, deterministic)
+        lines = to_lp_text(model).splitlines()
+        binaries = lines[lines.index("Binary") + 1 : lines.index("End")]
+        assert sum(model.variable_counts().values()) == len(binaries) == total
+    assert model.variable_counts() == {"x": 16, "y": 0, "p": 4}
 
 
 def test_ip_model_needs_succ(fixture_graph):

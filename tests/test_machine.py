@@ -62,6 +62,8 @@ def test_partition_blocks_and_lookup():
 def test_partition_requires_contiguous_states():
     with pytest.raises(ValueError):
         StatePartition(((0, 0), (0, 1)), (0, 2))
+    with pytest.raises(ValueError, match="assign length"):
+        StatePartition(((0, 0), (0, 1)), (0,))
 
 
 def test_partition_canonical_first_fit():
@@ -203,6 +205,12 @@ def test_sample_single_state_machine():
     m = PFSA(BINARY, ((),), {(0, 0): frozenset([0])}, {(0, 0): 1.0})
     out = sample(m, 50, seed=3)
     assert out.text() == "0" * 50
+
+
+def test_sample_rejects_non_positive_length():
+    m = PFSA(BINARY, ((),), {(0, 0): frozenset([0])}, {(0, 0): 1.0})
+    with pytest.raises(ValueError, match="positive"):
+        sample(m, 0, seed=3)
 
 
 def test_sample_dead_end():
@@ -386,6 +394,8 @@ def test_json_schema_fields(fixture_wc):
 def test_from_json_rejects_missing_field():
     with pytest.raises(FormatError):
         from_json(json.dumps({"alphabet": ["0", "1"], "states": []}))
+    with pytest.raises(FormatError, match="not valid JSON"):
+        from_json('{"alphabet": ["0", "1"],')
 
 
 def test_from_json_rejects_unknown_symbol(fixture_wc):
@@ -461,6 +471,15 @@ def test_from_json_rejects_duplicate_state_id():
     obj = json.loads(to_json(m))
     obj["states"][1]["id"] = obj["states"][0]["id"]
     with pytest.raises(FormatError, match="duplicate state id"):
+        from_json(json.dumps(obj))
+
+
+def test_from_json_rejects_conflicting_probs():
+    m = PFSA(BINARY, ((), ()), {(0, 0): frozenset([0, 1])}, {(0, 0): 1.0})
+    obj = json.loads(to_json(m))
+    assert len(obj["transitions"]) == 2
+    obj["transitions"][1]["prob"] = 0.5
+    with pytest.raises(FormatError, match="conflicting probabilities for state 1 symbol 0"):
         from_json(json.dumps(obj))
 
 

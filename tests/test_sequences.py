@@ -11,6 +11,7 @@ from minpfsa import (
     EmptyStateError,
     FormatError,
     SequenceTooShortError,
+    SymbolSequence,
     UnobservedHistoryError,
     cond_dist,
     count_windows,
@@ -68,6 +69,16 @@ def test_parse_skips_whitespace_in_char_mode():
 def test_parse_empty():
     with pytest.raises(EmptySequenceError):
         parse_sequence("   ", "chars")
+    with pytest.raises(EmptySequenceError):
+        parse_sequence(" \n\t", "tokens")
+    with pytest.raises(EmptySequenceError):
+        from_text("")
+    with pytest.raises(EmptySequenceError):
+        from_tokens([], BINARY)
+    with pytest.raises(EmptySequenceError):
+        SymbolSequence(BINARY, np.zeros(0, dtype=np.int64))
+    with pytest.raises(EmptySequenceError):
+        Alphabet(())
 
 
 def test_parse_bad_mode():
@@ -193,6 +204,8 @@ def test_count_windows_empty_history_convention():
 def test_count_windows_too_short():
     with pytest.raises(SequenceTooShortError):
         count_windows(from_text("01"), 2)
+    with pytest.raises(ValueError, match="non-negative"):
+        count_windows(from_text("01"), -1)
 
 
 @settings(max_examples=60, deadline=None)
