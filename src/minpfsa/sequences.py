@@ -92,6 +92,18 @@ def from_text(text, alphabet=None):
     return SymbolSequence(alphabet, toks)
 
 
+def _first_seen(code, size):
+    """The values of code, all below size, in order of first appearance,
+    and the array of size whose entry v is the first position of v in
+    code, or len(code) where v does not occur."""
+    at = np.arange(len(code), dtype=np.min_scalar_type(len(code)))
+    first = np.full(size, len(code), dtype=at.dtype)
+    np.minimum.at(first, code, at)
+    mark = np.zeros(len(code), dtype=bool)
+    mark[first[first < len(code)]] = True
+    return code[mark.nonzero()[0]], first
+
+
 def parse_sequence(text, mode="chars"):
     """Parse raw text into a SymbolSequence.
 
@@ -105,12 +117,28 @@ def parse_sequence(text, mode="chars"):
             raise EmptySequenceError("sequence has no symbols")
         # one code point per character; surrogatepass keeps lone surrogates
         codes = np.frombuffer(chars.encode("utf-32-le", "surrogatepass"), "<u4")
-        distinct, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-        order = np.argsort(first)
-        rank = np.empty(len(order), dtype=np.int64)
-        rank[order] = np.arange(len(order))
-        alphabet = Alphabet(tuple(map(chr, distinct[order].tolist())))
-        return SymbolSequence(alphabet, rank[inverse])
+        # A code point is its block (the bits above the low 7) times 128
+        # plus its low bits. The blocks in use are ranked in a fixed table
+        # of all 8,704 blocks, and a code point's cell is 128 times its
+        # block's rank plus its low bits, so no table grows with the
+        # code-point range. The int64 tokens hold each character's block,
+        # then its cell, then its rank: take reads each index before it
+        # writes that element, so with mode "clip" (every index is in
+        # range) it maps the array in place
+        tokens = np.right_shift(codes, 7, dtype=np.int64)
+        used = np.zeros(0x110000 >> 7, dtype=bool)
+        used[tokens] = True
+        blocks = used.nonzero()[0]
+        offset = np.zeros(len(used), dtype=np.int64)  # per block: cell minus code point
+        offset[blocks] = (np.arange(len(blocks)) - blocks) << 7
+        np.take(offset, tokens, out=tokens, mode="clip")
+        tokens += codes
+        seen, _ = _first_seen(tokens, len(blocks) << 7)
+        rank = np.empty(len(blocks) << 7, dtype=np.int64)
+        rank[seen] = np.arange(len(seen))
+        np.take(rank, tokens, out=tokens, mode="clip")
+        points = (blocks[seen >> 7] << 7) + (seen & 127)
+        return SymbolSequence(Alphabet(tuple(map(chr, points.tolist()))), tokens)
     if mode != "tokens":
         raise ValueError("mode must be 'chars' or 'tokens', not %r" % mode)
     items = text.split()
@@ -168,13 +196,18 @@ class WindowCounts:
     continues with a or the successor is left out of W (the
     end-of-sequence rule).
 
-    Each length-k window gets an int64 code: the rank of its length-(k-1)
-    prefix among the distinct prefixes, times |A|, plus its last symbol.
-    Ranks are below the sequence length n, so codes stay below n·|A|
-    whatever the alphabet size or L; plain base-|A| codes would overflow
-    once |A|^(L+1) exceeds 2^63. Each level is ranked in the narrowest
-    unsigned dtype that holds its codes: numpy radix-sorts up to 16 bits.
-    The codes of length L+1 index the cells of ext by history rank.
+    Each length-k window gets a code: the rank of its length-(k-1) prefix
+    among the distinct prefixes, times |A|, plus its last symbol. Ranks are
+    below the sequence length n, so codes stay below n·|A| whatever the
+    alphabet size or L; plain base-|A| codes would overflow once |A|^(L+1)
+    exceeds 2^63. Nothing is sorted. The codes of a length are held in the
+    narrowest unsigned dtype that fits and fall in a table of (distinct
+    prefixes)·|A| cells: one bincount over it gives the counts, and a
+    cumulative sum over the cells that occur gives the ranks. No table
+    has more than L rows of |A| cells beyond the one of length L+1, whose
+    counts are ext by history rank. One indexed minimum gives the first
+    appearances of the longest windows; a shorter window first appears
+    where its first extension does, save the one that starts last.
     """
 
     def __init__(self, seq, L):
@@ -187,34 +220,50 @@ class WindowCounts:
             )
         self.alphabet = seq.alphabet
         self.L = L
-        counts = {(): len(seq)}
-        toks = np.asarray(seq.tokens, dtype=np.int64)
-        tok_list = toks.tolist()
-        # one rank per window of the current length, the n + 1 empty ones first
-        rank, first = np.zeros(len(toks) + 1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+        n, m = len(seq), len(seq.alphabet)
+        sym = seq.tokens.astype(np.min_scalar_type(m - 1))
+        # per length k: the windows in rank order, their counts, the rank of
+        # each one's prefix, and the rank of the length-(k - 1) window that
+        # starts last, at n - k + 1, and so has no extension
+        levels = []
+        keys = [()]
+        # base[i] is |A| times the rank of the window at i of the length
+        # below; the n + 1 empty windows all have rank 0
+        base = np.zeros(n + 1, dtype=sym.dtype)
         for k in range(1, L + 2):
-            hist_rank, hist_first = rank, first
-            code = rank[:len(toks) - k + 1] * len(seq.alphabet) + toks[k - 1:]
-            cells, first, rank, num = np.unique(
-                code.astype(np.min_scalar_type(int(code.max()))),
-                return_index=True, return_inverse=True, return_counts=True,
-            )
-            order = np.argsort(first)
-            for i, c in zip(first[order].tolist(), num[order].tolist()):
-                counts[tuple(tok_list[i:i + k])] = c
-        self.counts = counts
-        ext = np.zeros((len(hist_first), len(seq.alphabet)), dtype=np.int64)
-        ext.flat[cells] = num
-        nxt = np.full(ext.shape, -1)
-        nxt[hist_rank[:-1], toks[L:]] = hist_rank[1:]
-        order = np.argsort(hist_first)
-        order = order[ext[order].sum(axis=1) > 0]
-        index = np.full(len(ext) + 1, -1)  # index[-1] keeps -1 for no successor
-        index[order] = np.arange(len(order))
-        self.W = tuple(tuple(tok_list[i:i + L]) for i in hist_first[order].tolist())
-        self.ext = ext[order]
+            code = base[:n - k + 1]
+            code += sym[k - 1:]
+            num = np.bincount(code, minlength=len(keys) * m)
+            cells = num.nonzero()[0]
+            rank = (num > 0).cumsum() - 1
+            prefix, last = (cells // m).tolist(), (cells % m).tolist()
+            hist_keys, keys = keys, [keys[p] + (a,) for p, a in zip(prefix, last)]
+            levels.append((keys, num[cells].tolist(), prefix, int(base[-1]) // m))
+            if k <= L:
+                base = (rank * m).astype(np.min_scalar_type(len(cells) * m - 1))[code]
+        seen, first = _first_seen(code, len(num))
+        order = rank[seen].tolist()
+        # the histories with a continuation are the longest windows' prefixes
+        hist = list(dict.fromkeys([prefix[r] for r in order]))
+        # a shorter window first appears where its first extension does,
+        # except the one that starts last, which comes last if it is new
+        ordered = []
+        for level_keys, level_counts, prefix, end in reversed(levels):
+            ordered.append([(level_keys[r], level_counts[r]) for r in order])
+            order = list(dict.fromkeys([prefix[r] for r in order] + [end]))
+        self.counts = {(): n}
+        for pairs in reversed(ordered):
+            self.counts.update(pairs)
+        nxt = np.full((len(hist_keys), m), -1)
+        # the history after a cell's first window is the one at the next
+        # position, whose rank base keeps as its quotient by |A|
+        nxt.flat[cells] = base[first[cells] + 1].astype(np.intp) // m
+        index = np.full(len(nxt) + 1, -1)  # index[-1] keeps -1 for no successor
+        index[hist] = np.arange(len(hist))
+        self.W = tuple(hist_keys[r] for r in hist)
+        self.ext = num.reshape(nxt.shape)[hist]
         self.succ = tuple(tuple(None if j < 0 else j for j in row)
-                          for row in index[nxt[order]].tolist())
+                          for row in index[nxt[hist]].tolist())
 
     def count(self, history):
         return self.counts.get(tuple(history), 0)

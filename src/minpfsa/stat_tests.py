@@ -302,9 +302,9 @@ class CompatibilityGraph:
     mu: np.ndarray
 
     def edges(self):
-        """Off-diagonal compatible pairs (i, l) with i < l."""
-        n = len(self.vertices)
-        return [(i, l) for i in range(n) for l in range(i + 1, n) if self.mu[i, l]]
+        """Off-diagonal compatible pairs (i, l) with i < l, in row-major
+        order."""
+        return list(zip(*(ix.tolist() for ix in np.nonzero(np.triu(self.mu, 1)))))
 
 
 # upper-triangle history pairs whose tables the compatibility graph forms

@@ -418,8 +418,13 @@ def test_edges_monotone_in_alpha():
         toks = rng.choice(2, size=80, p=(0.7, 0.3))
         wc = count_windows(from_tokens(toks, alphabet), 2)
         alphas = (0.001, 0.05, 0.5)
-        edge_sets = [set(compatibility_graph(wc, TestConfig(alpha=a)).edges())
-                     for a in alphas]
+        graphs = [compatibility_graph(wc, TestConfig(alpha=a)) for a in alphas]
+        for g in graphs:
+            n = len(g.vertices)
+            # in row-major order, as Python ints
+            assert g.edges() == [(i, l) for i in range(n) for l in range(i + 1, n) if g.mu[i, l]]
+            assert all(type(v) is int for edge in g.edges() for v in edge)
+        edge_sets = [set(g.edges()) for g in graphs]
         for tighter, looser in zip(edge_sets[1:], edge_sets[:-1]):
             assert tighter <= looser
 
