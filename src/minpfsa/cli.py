@@ -11,6 +11,12 @@ Subcommands:
 
 Exit status is 0 on success, 1 on input or runtime errors and 2 on
 command line usage errors.
+
+Each subcommand's help line, arguments and handler sit in one table,
+``COMMANDS``. ``build_parser`` builds the whole tree from it, but a call
+that names a subcommand builds only that subcommand's parser: the
+arguments of the other three are never built. Help, usage and error
+texts and exit codes are the full tree's.
 """
 
 import argparse
@@ -28,11 +34,12 @@ from .stat_tests import TESTS, TestConfig, compatibility_graph
 
 
 def _read_text(path):
-    """The text of a file, or of stdin for -; FormatError unless it decodes."""
+    """The text of a file, or of stdin for -, decoded strictly as UTF-8
+    whatever the locale; FormatError unless it decodes."""
     try:
         if path == "-":
-            return sys.stdin.read()
-        with open(path) as fh:
+            return sys.stdin.buffer.read().decode("utf-8")
+        with open(path, encoding="utf-8") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise FormatError("%s is not text: %s" % (path, exc))
@@ -146,19 +153,12 @@ def cmd_bench(args):
     return 0
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="minpfsa",
-        description="Minimum-state probabilistic finite-state automaton inference.",
-    )
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    sub = subs.add_parser("gen-fixture", help="write the walkthrough sequence")
+def _add_gen_fixture_args(sub):
     sub.add_argument("--out", default="-", metavar="FILE",
                      help="output file (default stdout)")
-    sub.set_defaults(func=cmd_gen_fixture)
 
-    sub = subs.add_parser("infer", help="infer a machine from a sequence file")
+
+def _add_infer_args(sub):
     sub.add_argument("--method", choices=METHODS, default="cssr")
     _add_input_args(sub)
     sub.add_argument("--format", choices=("json", "dot"), default="json",
@@ -167,26 +167,68 @@ def build_parser():
                      help="machine output file (default stdout)")
     sub.add_argument("--lp", metavar="FILE",
                      help="also write the integer program as LP text")
-    sub.set_defaults(func=cmd_infer)
 
-    sub = subs.add_parser("graph", help="dump the compatibility graph edge list")
+
+def _add_graph_args(sub):
     _add_input_args(sub)
     sub.add_argument("--out", default="-", metavar="FILE",
                      help="output file (default stdout)")
-    sub.set_defaults(func=cmd_graph)
 
-    sub = subs.add_parser("bench", help="run the benchmark grid")
+
+def _add_bench_args(sub):
     sub.add_argument("--config", metavar="FILE", help="key = value configuration file")
     sub.add_argument("--out", default="-", metavar="FILE",
                      help="CSV output (default stdout)")
-    sub.set_defaults(func=cmd_bench)
 
+
+# name -> (help line, argument builder, handler), in the order of the help listing
+COMMANDS = {
+    "gen-fixture": ("write the walkthrough sequence", _add_gen_fixture_args, cmd_gen_fixture),
+    "infer": ("infer a machine from a sequence file", _add_infer_args, cmd_infer),
+    "graph": ("dump the compatibility graph edge list", _add_graph_args, cmd_graph),
+    "bench": ("run the benchmark grid", _add_bench_args, cmd_bench),
+}
+
+
+def _fill_command(sub, name):
+    """Give sub the arguments and handler of subcommand name."""
+    _, add_args, handler = COMMANDS[name]
+    add_args(sub)
+    sub.set_defaults(func=handler)
+
+
+def build_parser():
+    """The full parser: the top level and every subcommand."""
+    parser = argparse.ArgumentParser(
+        prog="minpfsa",
+        description="Minimum-state probabilistic finite-state automaton inference.",
+    )
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, _, _) in COMMANDS.items():
+        _fill_command(subs.add_parser(name, help=help_line), name)
     return parser
 
 
+def _parse(argv):
+    """The parsed arguments of argv, as build_parser() parses them.
+
+    When argv starts with a subcommand, only that subcommand's parser is
+    built, as the full tree names it. Its help, usage and errors are the
+    tree's own. Arguments it leaves over go back to the full tree, which
+    reports them with its usage and exit code 2; so does every other argv
+    (none, --help, an unknown command).
+    """
+    if argv and argv[0] in COMMANDS:
+        parser = argparse.ArgumentParser(prog="minpfsa " + argv[0])
+        _fill_command(parser, argv[0])
+        args, extra = parser.parse_known_args(argv[1:])
+        if not extra:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except (MinpfsaError, OSError) as exc:

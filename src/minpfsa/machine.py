@@ -10,6 +10,7 @@ next-symbol distribution is the pooled ratio of summed member counts.
 import json
 from bisect import bisect_right
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -265,30 +266,48 @@ def sample(machine, n, seed):
 # file formats
 
 
+def _json_array(items, depth):
+    """Encoded items as json.dumps(..., indent=2) lays out an array that
+    opens at nesting depth depth."""
+    if not items:
+        return "[]"
+    pad = "\n" + "  " * (depth + 1)
+    return "[" + pad + ("," + pad).join(items) + "\n" + "  " * depth + "]"
+
+
+_JSON_STATE = '{\n      "id": %d,\n      "histories": %s\n    }'
+_JSON_TRANSITION = (
+    '{\n      "from": %d,\n      "symbol": %s,\n      "to": %d,\n      "prob": %s\n    }'
+)
+
+
 def to_json(machine):
     """Serialize to the JSON interchange format.
 
     State ids are 1-based in state order. Exporting, importing and
     exporting again yields byte-identical text.
+
+    The bytes are those of json.dumps(obj, indent=2) + "\\n" for the
+    object {"alphabet", "states": [{"id", "histories"}], "transitions":
+    [{"from", "symbol", "to", "prob"}]}, written from templates. Strings
+    go through json's encode_basestring_ascii and the probabilities
+    through one json.dumps of their list, so an int, an np.float64 or a
+    NaN is written as json writes it.
     """
-    obj = {
-        "alphabet": [str(t) for t in machine.alphabet.symbols],
-        "states": [
-            {"id": j + 1, "histories": [machine.alphabet.render(h) for h in block]}
-            for j, block in enumerate(machine.states)
-        ],
-        "transitions": [
-            {
-                "from": j + 1,
-                "symbol": str(machine.alphabet.symbols[a]),
-                "to": k + 1,
-                "prob": machine.probs[(j, a)],
-            }
-            for (j, a) in sorted(machine.delta)
-            for k in sorted(machine.delta[(j, a)])
-        ],
-    }
-    return json.dumps(obj, indent=2) + "\n"
+    alphabet = machine.alphabet
+    symbols = [encode_basestring_ascii(str(t)) for t in alphabet.symbols]
+    states = [
+        _JSON_STATE % (j + 1, _json_array(
+            [encode_basestring_ascii(alphabet.render(h)) for h in block], 3))
+        for j, block in enumerate(machine.states)
+    ]
+    edges = [(j, a, k) for (j, a) in sorted(machine.delta) for k in sorted(machine.delta[(j, a)])]
+    probs = json.dumps([machine.probs[(j, a)] for j, a, _ in edges])[1:-1].split(", ")
+    transitions = [
+        _JSON_TRANSITION % (j + 1, symbols[a], k + 1, p) for (j, a, k), p in zip(edges, probs)
+    ]
+    return '{\n  "alphabet": %s,\n  "states": %s,\n  "transitions": %s\n}\n' % (
+        _json_array(symbols, 1), _json_array(states, 1), _json_array(transitions, 1))
 
 
 def from_json(text):

@@ -1,8 +1,10 @@
 """Benchmark harness and the command line front end."""
 
+import argparse
 import io
 import json
 import os
+import subprocess
 import sys
 from collections import Counter
 
@@ -30,8 +32,8 @@ from minpfsa import (
     to_lp_text,
     write_csv,
 )
-from minpfsa import bench
-from minpfsa.cli import infer, main
+from minpfsa import bench, cli
+from minpfsa.cli import COMMANDS, build_parser, infer, main
 
 FULL_CONFIG = """\
 # benchmark grid
@@ -392,3 +394,83 @@ def test_cli_usage_errors_exit_two():
             with pytest.raises(SystemExit) as err:
                 main([command, "--in", "unused.txt"] + bad)
             assert err.value.code == 2
+
+
+def _exit_and_output(parse, argv, capsys):
+    """Exit code, stdout and stderr of parse(argv), which must exit."""
+    with pytest.raises(SystemExit) as err:
+        parse(argv)
+    out = capsys.readouterr()
+    return err.value.code, out.out, out.err
+
+
+USAGE_CASES = [
+    [], ["--help"], ["-h"], ["frobnicate"], ["--bogus"], ["frobnicate", "--in", "x"],
+    ["gen-fixture", "--help"], ["gen-fixture", "--bogus"], ["gen-fixture", "extra"],
+    ["bench", "--help"], ["bench", "--out"], ["bench", "--config", "x", "--bogus"],
+    ["infer", "--in", "x", "--method", "nope"], ["infer", "--in", "x", "--format", "svg"],
+] + [[command] + args for command in ("infer", "graph") for args in (
+    ["--help"], [], ["--L", "2"], ["--in", "x", "--test", "nope"], ["--in", "x", "--L", "-1"],
+    ["--in", "x", "--alpha", "1.5"], ["--in", "x", "--bogus"], ["--in", "x", "extra", "--bogus=1"],
+    ["--in", "x", "--", "y"],
+)]
+
+
+@pytest.mark.parametrize("argv", USAGE_CASES, ids=" ".join)
+def test_cli_usage_text_matches_the_full_parser(argv, capsys):
+    # main builds only the named subcommand's parser; what it prints and
+    # its exit code must be those of the whole tree
+    got = _exit_and_output(main, argv, capsys)
+    assert got == _exit_and_output(build_parser().parse_args, argv, capsys)
+    assert got[0] == (0 if "--help" in argv or "-h" in argv else 2)
+
+
+def test_cli_builds_one_subcommand_parser(tmp_path, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(["gen-fixture", "--out", str(tmp_path / "seq.txt")]) == 0
+    assert built == ["minpfsa gen-fixture"]
+    built.clear()
+    build_parser()
+    assert built == ["minpfsa"] + ["minpfsa %s" % name for name in COMMANDS]
+
+
+def _run_cli(argv, stdin, **env):
+    """Return code, stdout and stderr of the command line in a new
+    interpreter that imports the package from this checkout."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+               **env)
+    proc = subprocess.run([sys.executable, "-m", "minpfsa.cli"] + argv, input=stdin, env=env,
+                          capture_output=True, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr.decode("utf-8", "replace")
+
+
+def test_cli_undecodable_stdin_returns_one(tmp_path):
+    # under UTF-8 mode sys.stdin would take the bytes in as lone surrogates,
+    # which only fail when the output is written
+    code, _, err = _run_cli(
+        ["infer", "--in", "-", "--L", "1", "--format", "dot", "--out", str(tmp_path / "o.dot")],
+        b"ab\xffab\xffabab\xff\n", PYTHONUTF8="1")
+    assert code == 1
+    assert err.startswith("error: - is not text: ") and "Traceback" not in err
+    assert not (tmp_path / "o.dot").exists()
+
+
+@pytest.mark.parametrize("source", ["-", "file"])
+def test_cli_reads_utf8_whatever_the_locale(source, tmp_path):
+    text = "é中é中中é\U0001f600é中\n".encode("utf-8")
+    path = tmp_path / "seq.txt"
+    path.write_bytes(text)
+    argv = ["infer", "--in", "-" if source == "-" else str(path), "--L", "1"]
+    # an ASCII locale with no UTF-8 mode, and a Latin-1 standard stream
+    code, out, err = _run_cli(argv, text, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+                              PYTHONIOENCODING="latin-1")
+    assert code == 0, err
+    assert json.loads(out)["alphabet"] == ["é", "中", "\U0001f600"]

@@ -522,6 +522,58 @@ def test_json_round_trip_multi_character_symbols(symbols, L):
     assert to_json(again) == out
 
 
+def _json_reference(machine):
+    """The machine JSON as json.dumps lays it out, the layout that
+    to_json writes from templates."""
+    obj = {
+        "alphabet": [str(t) for t in machine.alphabet.symbols],
+        "states": [
+            {"id": j + 1, "histories": [machine.alphabet.render(h) for h in block]}
+            for j, block in enumerate(machine.states)
+        ],
+        "transitions": [
+            {"from": j + 1, "symbol": str(machine.alphabet.symbols[a]), "to": k + 1,
+             "prob": machine.probs[(j, a)]}
+            for (j, a) in sorted(machine.delta)
+            for k in sorted(machine.delta[(j, a)])
+        ],
+    }
+    return json.dumps(obj, indent=2) + "\n"
+
+
+def _two_state(alphabet, probs):
+    """States {h0} and {h1, h0 h1}; symbol 0 from state 1 goes to both
+    states, symbol 1 from state 2 goes back to state 1."""
+    return PFSA(alphabet, (((0,),), ((1,), (0, 1))),
+                {(0, 0): frozenset([0, 1]), (1, 1): frozenset([0])},
+                dict(zip([(0, 0), (1, 1)], probs)))
+
+
+JSON_REFERENCE_CASES = {
+    "non-ascii": _two_state(Alphabet(("é", "中", "\U0001f600")), [0.25, 0.75]),
+    "lone surrogate": _two_state(Alphabet(("\ud800", "a")), [0.5, 1.0]),
+    "nul": _two_state(Alphabet(("\x00", "b")), [1.0, 1.0]),
+    "quotes and backslashes": _two_state(Alphabet(('a"b', "c\\", '\\"')), [0.1, 0.9]),
+    "np.float64": _two_state(BINARY, [np.float64(1 / 3), np.float64(0.0)]),
+    "nan": _two_state(BINARY, [float("nan"), 1e-300]),
+    "no transitions": PFSA(BINARY, (((0,), (1,)),), {}, {}),
+    "no histories": PFSA(BINARY, ((), ()), {(0, 1): frozenset([1])}, {(0, 1): 1.0}),
+    "no states": PFSA(BINARY, (), {}, {}),
+    "ints from from_json": from_json(json.dumps({
+        "alphabet": ["0", "1"],
+        "states": [{"id": 1, "histories": ["0"]}, {"id": 2, "histories": ["1"]}],
+        "transitions": [{"from": 1, "symbol": "0", "to": 2, "prob": 1},
+                        {"from": 2, "symbol": "1", "to": 1, "prob": 0}],
+    })),
+}
+
+
+@pytest.mark.parametrize("name", sorted(JSON_REFERENCE_CASES))
+def test_to_json_matches_json_dumps(name):
+    machine = JSON_REFERENCE_CASES[name]
+    assert to_json(machine) == _json_reference(machine)
+
+
 def test_render_parse_multi_character_symbols():
     alphabet = Alphabet(("ab", "c"))
     assert alphabet.render((0, 1, 0)) == "ab c ab"
