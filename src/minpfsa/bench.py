@@ -52,8 +52,10 @@ class BenchConfig:
             raise ValueError("reps must be at least 1")
         if self.L < 0:
             raise ValueError("L must be non-negative")
-        if not self.timeout > 0:
-            raise ValueError("timeout must be positive")
+        if not 0 < self.timeout < float("inf"):
+            raise ValueError("timeout must be positive and finite")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if min(self.lengths, default=1) < 1 or list(self.lengths) != sorted(self.lengths):
             raise ValueError("lengths must be positive and ascending")
 

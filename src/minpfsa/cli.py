@@ -21,6 +21,7 @@ texts and exit codes are the full tree's.
 
 import argparse
 import contextlib
+import io
 import sys
 
 from .bench import METHODS, BenchConfig, parse_bench_config, run_bench, write_csv
@@ -53,12 +54,20 @@ def _window_counts(args):
 
 @contextlib.contextmanager
 def _output(path):
-    """The text file to write: stdout for -, else path opened for writing."""
-    if path == "-":
-        yield sys.stdout
-    else:
-        with open(path, "w") as fh:
+    """The text file to write, UTF-8 whatever the locale: path opened for
+    writing, or stdout for -, through its byte buffer when it has one."""
+    if path != "-":
+        with open(path, "w", encoding="utf-8") as fh:
             yield fh
+    elif hasattr(sys.stdout, "buffer"):
+        sys.stdout.flush()
+        fh = io.TextIOWrapper(sys.stdout.buffer, encoding="utf-8")
+        try:
+            yield fh
+        finally:
+            fh.detach()  # flushes, and leaves sys.stdout open
+    else:
+        yield sys.stdout
 
 
 def _write(path, text):

@@ -5,7 +5,8 @@ clique partitioning: one pass of the completion search
 (``exact._clique_partitions``) proves the fewest cliques that partition
 the histories and enumerates every partition into that many; each is
 made deterministic by successor-signature splitting, and the smallest
-result is built.
+result is built. The completion search runs on one explicit stack, so
+at any depth the pipeline either returns or overflows the cover cap.
 ``bron_kerbosch`` and ``min_clique_cover`` work on int bitsets of
 vertices; the cover search is bounded below by a greedy independent set
 of the uncovered vertices. The pipeline calls neither: they prove the
@@ -15,8 +16,8 @@ each checks the other.
 
 from dataclasses import dataclass
 
-from .errors import CoverOverflowError, SearchDepthError
-from .exact import _TOO_DEEP, _bitsets, _clique_partitions, _greedy_is, _vertices
+from .errors import CoverOverflowError
+from .exact import _bitsets, _clique_partitions, _greedy_is, _leaves, _vertices
 from .machine import StatePartition, build_machine, split_to_deterministic
 from .stat_tests import TestConfig, compatibility_graph
 
@@ -25,30 +26,24 @@ def bron_kerbosch(graph):
     """All maximal cliques, each a sorted tuple of vertex indices, the
     list sorted lexicographically.
 
-    Classic recursion with pivoting, on int bitsets: the pivot is the
-    vertex of P union X with the most neighbours inside P (lowest index on
-    ties), and only non-neighbours of the pivot are branched on.
+    Classic Bron-Kerbosch with pivoting, on int bitsets and on the shared
+    depth-first loop: the pivot is the vertex of P union X with the most
+    neighbours inside P (lowest index on ties), and only non-neighbours of
+    the pivot are branched on.
     """
     nbrs = [a & ~(1 << v) for v, a in enumerate(_bitsets(graph))]
-    cliques = []
 
     def extend(r, p, x):
-        if not p and not x:
-            cliques.append(_vertices(r))
-            return
-        most = -1
-        for u in _vertices(p | x):
-            inside = (p & nbrs[u]).bit_count()
-            if inside > most:
-                pivot, most = u, inside
+        pivot = max(_vertices(p | x), key=lambda u: (p & nbrs[u]).bit_count())
         for v in _vertices(p & ~nbrs[pivot]):
             bit = 1 << v
-            extend(r | bit, p & nbrs[v], x & nbrs[v])
+            yield r | bit, p & nbrs[v], x & nbrs[v]
             p ^= bit
             x |= bit
 
-    extend(0, (1 << len(nbrs)) - 1, 0)
-    return sorted(cliques)
+    root = 0, (1 << len(nbrs)) - 1, 0
+    leaves = _leaves(root, lambda node: extend(*node) if node[1] | node[2] else None)
+    return sorted(_vertices(r) for r, _, _ in leaves)
 
 
 @dataclass(frozen=True)
@@ -93,33 +88,27 @@ def min_clique_cover(cliques, n_vertices, k_upper=None):
     # greedy incumbent: repeatedly take the clique covering the most
     # still-uncovered vertices (lowest index on ties)
     uncovered = full
-    greedy = []
+    best = ()
     while uncovered:
         gains = [(uncovered & m).bit_count() for m in masks]
         ci = gains.index(max(gains))
-        greedy.append(ci)
+        best += (ci,)
         uncovered &= ~masks[ci]
-    best = {"count": len(greedy), "chosen": tuple(greedy)}
 
-    chosen = []
-
-    def recurse(uncovered):
+    def branches(node):
+        uncovered, chosen = node
         if not uncovered:
-            if len(chosen) < best["count"]:
-                best["count"] = len(chosen)
-                best["chosen"] = tuple(chosen)
-            return
-        if len(chosen) + _greedy_is(adj, uncovered).bit_count() >= best["count"]:
-            return
-        for ci in containing[(uncovered & -uncovered).bit_length() - 1]:
-            chosen.append(ci)
-            recurse(uncovered & ~masks[ci])
-            chosen.pop()
+            return None
+        if len(chosen) + _greedy_is(adj, uncovered).bit_count() >= len(best):
+            return iter(())
+        v = (uncovered & -uncovered).bit_length() - 1
+        return ((uncovered & ~masks[ci], chosen + (ci,)) for ci in containing[v])
 
-    recurse(full)
-
-    cover = tuple(sorted(cliques[ci] for ci in best["chosen"]))
-    return CoverResult(best["count"], cover, k_upper)
+    for _, chosen in _leaves((full, ()), branches):
+        if len(chosen) < len(best):
+            best = chosen
+    cover = tuple(sorted(cliques[ci] for ci in best))
+    return CoverResult(len(best), cover, k_upper)
 
 
 def enumerate_exact_covers(graph, optimum=None, cap=10000):
@@ -127,22 +116,19 @@ def enumerate_exact_covers(graph, optimum=None, cap=10000):
     blocks ordered by their smallest vertex, in the first-fit order of
     ``exact._clique_partitions``. When optimum is None it is the fewest
     cliques, proven in the same pass; a graph without vertices then raises
-    ValueError. Raises CoverOverflowError past ``cap``, and
-    SearchDepthError when the search nests too deep."""
+    ValueError. Raises CoverOverflowError past ``cap``. The search runs on
+    an explicit stack, so it has no depth limit."""
     adj = _bitsets(graph)
     if optimum is None and not adj:
         raise ValueError("no histories to assign")
     covers = []
-    try:
-        for k, assign, _ in _clique_partitions(adj, optimum):
-            blocks = [[] for _ in range(k)]
-            for v, s in enumerate(assign):
-                blocks[s].append(v)
-            covers.append(tuple(map(tuple, blocks)))
-            if len(covers) > cap:
-                raise CoverOverflowError("more than %d exact covers of %d cliques" % (cap, k))
-    except RecursionError:
-        raise SearchDepthError(_TOO_DEEP % len(adj)) from None
+    for k, assign, _ in _clique_partitions(adj, optimum):
+        blocks = [[] for _ in range(k)]
+        for v, s in enumerate(assign):
+            blocks[s].append(v)
+        covers.append(tuple(map(tuple, blocks)))
+        if len(covers) > cap:
+            raise CoverOverflowError("more than %d exact covers of %d cliques" % (cap, k))
     return covers
 
 
@@ -179,9 +165,8 @@ def clique_pipeline(wc, config=None, cap=10000):
     one state per block."""
     cfg = config or TestConfig()
     graph = compatibility_graph(wc, cfg)
-    W = list(graph.vertices)
     covers = enumerate_exact_covers(graph, cap=cap)
-    parts = [reconstruct_deterministic(cover, W, wc) for cover in covers]
+    parts = [reconstruct_deterministic(cover, graph.vertices, wc) for cover in covers]
     best = min(parts, key=lambda part: part.num_states)
     return PipelineResult(
         build_machine(wc, best),

@@ -39,7 +39,7 @@ class CoverOverflowError(MinpfsaError):
 
 
 class SearchDepthError(MinpfsaError):
-    """An exact search would nest deeper than Python's recursion limit."""
+    """The deterministic search would nest past Python's recursion limit."""
 
 
 class FormatError(MinpfsaError):

@@ -12,10 +12,11 @@ checking cuts the branches whose unplaceable histories need too many
 new states. Clique partitions have one engine, the DSATUR-style
 completion search of ``_clique_partitions``: it proves the fewest
 cliques k, then walks the partitions into k cliques in first-fit order,
-entering a branch only when the search completes it.
-``solve_msndpfsa`` takes its first partition and
-``cliques.enumerate_exact_covers`` all of them, from the same pass when
-it is not given k.
+entering a branch only when the search completes it; both run on one
+explicit stack, at any depth. ``solve_msndpfsa`` takes its first partition
+and ``cliques.enumerate_exact_covers`` all of them, from the same pass
+when it is not given k. Only the first-fit search recurses, a level per
+history, so it alone raises SearchDepthError, past Python's limit.
 
 ``build_ip_model`` states the problem as a 0/1 integer program.
 ``to_lp_text`` returns its LP text and ``write_lp`` writes the same text
@@ -186,6 +187,20 @@ def _first_fit(adj, succ):
     return high + 1, best, explored
 
 
+def _leaves(root, children):
+    """The leaves below root, depth first, on one explicit stack: children(node)
+    is None at a leaf, else an iterator over the node's children in order."""
+    stack = [iter((root,))]
+    while stack:
+        node = next(stack[-1], None)
+        if node is None:
+            stack.pop()
+        elif (below := children(node)) is None:
+            yield node
+        else:
+            stack.append(below)
+
+
 def _clique_partitions(adj, k=None):
     """Every partition of the graph into exactly k cliques, in first-fit
     order: history i may only open the lowest unused state, so each
@@ -209,34 +224,35 @@ def _clique_partitions(adj, k=None):
     the completion found is the witness below that branch. A completion
     into fewer than k cliques splits into exactly k while the open states
     plus the histories left number at least k, so with that check every
-    branch entered ends in a partition."""
+    branch entered ends in a partition.
+
+    Both run on ``_leaves``, at any depth, over nodes never changed in
+    place: (fits, rest, spare) and (v, fits, witness, assign)."""
     n = len(adj)
     explored = 0
     label = [0] * n  # the index in fits of each vertex's state on the current path
     failed = set()
 
-    def complete(fits, rest, spare):
+    def placements(node):
         nonlocal explored
         explored += 1
-        if not rest:
-            return True
+        return place(*node) if node[1] else None
+
+    def place(fits, rest, spare):
         key = (rest, spare, tuple(sorted(f & rest for f in fits if f & rest)))
         if key in failed:
-            return False
+            return
         once = twice = thrice = 0
         for f in fits:
             thrice |= twice & f
             twice |= once & f
             once |= f
         zero = rest & ~once
-        ok = False
         if zero:
             if spare and _greedy_is(adj, zero).bit_count() <= spare:
                 w = (zero & -zero).bit_length() - 1
                 label[w] = len(fits)
-                fits.append(adj[w])
-                ok = complete(fits, rest & ~(1 << w), spare - 1)
-                fits.pop()
+                yield fits + (adj[w],), rest & ~(1 << w), spare - 1
         else:
             # the vertices that fit one, two, or three or more open states
             for fewest in (rest & ~twice, rest & twice & ~thrice, rest & thrice):
@@ -249,72 +265,60 @@ def _clique_partitions(adj, k=None):
             for s, f in enumerate(fits):
                 if f & bit:
                     label[w] = s
-                    fits[s] = f & adj[w]
-                    ok = complete(fits, rest & ~bit, spare)
-                    fits[s] = f
-                    if ok:
-                        break
-            if not ok and spare:
+                    yield fits[:s] + (f & adj[w],) + fits[s + 1:], rest & ~bit, spare
+            if spare:
                 label[w] = len(fits)
-                fits.append(adj[w])
-                ok = complete(fits, rest & ~bit, spare - 1)
-                fits.pop()
-        if not ok:
-            failed.add(key)
-        return ok
+                yield fits + (adj[w],), rest & ~bit, spare - 1
+        failed.add(key)  # reached only once every branch has failed
+
+    def completes(fits, rest, spare):
+        return next(_leaves((fits, rest, spare), placements), None) is not None
 
     witness = None
     if k is None:
         # k = n always completes, so the loop ends there at the latest
         for k in range(_greedy_is(adj, (1 << n) - 1).bit_count(), n + 1):
-            if complete([], (1 << n) - 1, k):
+            if completes((), (1 << n) - 1, k):
                 break
         witness = label[:]
-    assign = [0] * n
 
-    def walk(v, fits, witness):
+    def step(v, fits, witness, assign):
         used = len(fits)
-        if used + n - v < k:
-            return
-        if v == n:
-            yield k, tuple(assign), explored
-            return
         bit = 1 << v
         for s in range(min(used + 1, k)):
             if s < used and (not fits[s] & bit or used + n - v == k):
                 continue
-            trial = fits[:]
-            if s < used:
-                trial[s] &= adj[v]
-            else:
-                trial.append(adj[v])
+            trial = fits[:s] + (fits[s] & adj[v],) + fits[s + 1:] if s < used else fits + (adj[v],)
             below = witness
             # search unless the witness puts v in state s, or in a state not open yet
             if witness is None or min(witness[v], used) != s:
-                if not complete(trial, (1 << n) - (bit << 1), k - len(trial)):
+                if not completes(trial, (1 << n) - (bit << 1), k - len(trial)):
                     continue
                 below = label[:]
-                below[v] = s  # complete labels only the vertices after v
+                below[v] = s  # the completion labels only the vertices after v
             t = below[v]
             if t != s:
                 # the witness's states from used on are not open yet: swap
                 # the one v takes with the one the first fit numbers s
                 below = [s if x == t else t if x == s else x for x in below]
-            assign[v] = s
-            yield from walk(v + 1, trial, below)
+            yield v + 1, trial, below, assign + (s,)
 
-    yield from walk(0, [], witness)
+    if k > n:  # fewer histories than cliques
+        return
+    walk = _leaves((0, (), witness, ()), lambda node: None if node[0] == n else step(*node))
+    for _, _, _, assign in walk:
+        yield k, assign, explored
 
 
-# the searches recurse once per history, so enough histories reach
-# Python's recursion limit
+# _first_fit recurses once per history, so enough histories reach the limit
 _TOO_DEEP = "%d histories nest the search deeper than Python allows"
 
 
 def _solved(graph, search):
     """Run ``search(adj)`` on the graph's bitsets, timed, and wrap the
     optimum, assign vector and node count it returns as a SolveResult.
-    Raises SearchDepthError when the search nests too deep."""
+    Raises SearchDepthError when a recursive search (``_first_fit``)
+    nests too deep."""
     t0 = time.perf_counter()
     adj = _bitsets(graph)
     if not adj:
@@ -333,7 +337,6 @@ def solve_msdpfsa(graph, succ):
     compatibility graph and successor table."""
     if succ is None:
         raise ValueError("the deterministic search needs a successor table")
-
     return _solved(graph, lambda adj: _first_fit(adj, succ))
 
 

@@ -73,6 +73,9 @@ def test_parse_bench_config_defaults():
         ("lengths = 0, 10", "lengths must be positive and ascending"),
         ("L = -1", "L must be non-negative"),
         ("timeout = 0", "timeout must be positive"),
+        ("timeout = inf", "timeout must be positive and finite"),
+        ("timeout = nan", "timeout must be positive and finite"),
+        ("seed = -1", "seed must be non-negative"),
         ("test = bogus", "unknown test"),
         ("alpha = 2", "alpha must be in (0, 1)"),
     ],
@@ -358,6 +361,21 @@ def test_cli_bad_config_returns_one(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line, message", [
+    # an infinite timeout once overflowed in the pipe's poll, a negative
+    # seed in numpy's seed sequence
+    ("timeout = inf", "error: timeout must be positive and finite\n"),
+    ("seed = -1", "error: seed must be non-negative\n"),
+])
+def test_cli_bad_bench_value_returns_one(line, message, tmp_path, capsys):
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text("methods = cssr\nlengths = 30\nreps = 1\n%s\n" % line)
+    out = tmp_path / "results.csv"
+    assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
 def test_cli_bad_test_in_config_returns_one(tmp_path, capsys):
     cfg = tmp_path / "bench.cfg"
     cfg.write_text("methods = cssr\nlengths = 30\nreps = 1\ntest = bogus\n")
@@ -367,12 +385,12 @@ def test_cli_bad_test_in_config_returns_one(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_cli_search_depth_returns_one(deep_text, tmp_path, capsys):
+def test_cli_deep_clique_route_returns_one(deep_text, tmp_path, capsys):
     path = tmp_path / "deep.txt"
     path.write_text(deep_text)
     assert main(["infer", "--in", str(path), "--method", "clique", "--L", "5"]) == 1
     err = capsys.readouterr().err
-    assert err == "error: 1024 histories nest the search deeper than Python allows\n"
+    assert err == "error: more than 10000 exact covers of 11 cliques\n"
 
 
 def test_infer_unknown_method():
@@ -474,3 +492,20 @@ def test_cli_reads_utf8_whatever_the_locale(source, tmp_path):
                               PYTHONIOENCODING="latin-1")
     assert code == 0, err
     assert json.loads(out)["alphabet"] == ["é", "中", "\U0001f600"]
+
+
+@pytest.mark.parametrize("command", ["infer", "graph"])
+def test_cli_writes_utf8_whatever_the_locale(command, tmp_path):
+    path = tmp_path / "seq.txt"
+    path.write_bytes("é中é中中é\U0001f600é中\n".encode("utf-8"))
+    argv = [command, "--in", str(path), "--L", "1"]
+    if command == "infer":
+        argv += ["--format", "dot"]
+    # an ASCII locale with no UTF-8 mode, and an ASCII standard stream
+    locale = dict(LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", PYTHONIOENCODING="ascii")
+    code, out, err = _run_cli(argv, b"", **locale)
+    assert code == 0, err
+    code, _, err = _run_cli(argv + ["--out", str(tmp_path / "out.txt")], b"", **locale)
+    assert code == 0, err
+    assert (tmp_path / "out.txt").read_bytes() == out
+    assert all(symbol in out.decode("utf-8") for symbol in "é中\U0001f600")

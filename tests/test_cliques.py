@@ -9,7 +9,6 @@ from minpfsa import (
     BINARY,
     CoverOverflowError,
     CoverResult,
-    SearchDepthError,
     bron_kerbosch,
     check_determinism,
     clique_pipeline,
@@ -308,10 +307,13 @@ def test_reconstruct_deterministic_fixture(fixture_graph, fixture_wc):
             reconstruct_deterministic(bad, W, fixture_wc)
 
 
-def test_search_depth_limit_raises_typed_error(deep_wc, deep_graph):
-    with pytest.raises(SearchDepthError, match="^1024 histories nest the search deeper"):
+def test_deep_graph_overflows_the_cover_cap(deep_wc, deep_graph):
+    # 1,024 histories are not too deep for the completion search: it
+    # proves k = 11 and walks past the cap
+    message = "^more than 10000 exact covers of 11 cliques$"
+    with pytest.raises(CoverOverflowError, match=message):
         enumerate_exact_covers(deep_graph)
-    with pytest.raises(SearchDepthError, match="^1024 histories nest the search deeper"):
+    with pytest.raises(CoverOverflowError, match=message):
         clique_pipeline(deep_wc)
 
 

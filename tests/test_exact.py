@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import itertools
 
 import numpy as np
 import pytest
@@ -106,9 +107,14 @@ def test_searches_reject_an_empty_graph():
 
 
 def test_search_depth_limit_raises_typed_error(deep_graph):
+    # the completion search runs on an explicit stack, so 1,024 histories
+    # are not too deep for it; only the recursive first-fit search has a
+    # depth limit, which a complete graph reaches on its first descent
     assert len(deep_graph.vertices) == 1024
-    with pytest.raises(SearchDepthError, match="^1024 histories nest the search deeper"):
-        solve_msndpfsa(deep_graph)
+    assert solve_msndpfsa(deep_graph).optimum == 11
+    succ = ((None,),) * 1200
+    with pytest.raises(SearchDepthError, match="^1200 histories nest the search deeper"):
+        solve_msdpfsa(np.ones((1200, 1200), dtype=bool), succ)
 
 
 def test_edgeless_graph_needs_one_state_per_history():
@@ -364,6 +370,29 @@ def test_clique_partition_matches_first_fit_search():
         # lexicographically least k-partition is not the greedy one
         below += k < greedy_first_fit_states(rows)
     assert below >= 50  # 65 of the 150 greedy first fits miss k
+
+
+# sha256 of the repr of each list of (k, assign, explored) that
+# _clique_partitions yields, at most 50 per graph and k, over the graphs of
+# test_clique_partitions_are_pinned; recorded with the recursive completion
+# search and walk that the explicit stack replaced
+CLIQUE_PARTITIONS_SHA256 = "3bfe464f4dba9ab1f11177a6e11babcc1bbe88ba1c25e520eb190deddb16f97c"
+
+
+def test_clique_partitions_are_pinned():
+    # partitions, their order and the node counts, for a proven and for
+    # each given k
+    rng = np.random.default_rng(23)
+    digest = hashlib.sha256()
+    for _ in range(300):
+        n = int(rng.integers(1, 12))
+        mu = rng.random((n, n)) < rng.choice([0.2, 0.5, 0.8, 0.95])
+        mu = np.logical_or(mu, mu.T)
+        np.fill_diagonal(mu, True)
+        adj = _bitsets(mu)
+        for k in (None, 1, 2, 3, 4):
+            digest.update(repr(list(itertools.islice(_clique_partitions(adj, k), 50))).encode())
+    assert digest.hexdigest() == CLIQUE_PARTITIONS_SHA256
 
 
 # (key of a four-symbol source at L = 3, histories, optimum): graphs whose
