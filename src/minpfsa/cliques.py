@@ -5,13 +5,13 @@ clique partitioning: one pass of the completion search
 (``exact._clique_partitions``) proves the fewest cliques that partition
 the histories and enumerates every partition into that many; each is
 made deterministic by successor-signature splitting, and the smallest
-result is built. The completion search runs on one explicit stack, so
-at any depth the pipeline either returns or overflows the cover cap.
-``bron_kerbosch`` and ``min_clique_cover`` work on int bitsets of
-vertices; the cover search is bounded below by a greedy independent set
-of the uncovered vertices. The pipeline calls neither: they prove the
-clique-partition optimum independently of the completion search, so
-each checks the other.
+result is built. ``bron_kerbosch`` and ``min_clique_cover`` work on int
+bitsets of vertices; the cover search is bounded below by a greedy
+independent set of the uncovered vertices. The pipeline calls neither:
+they prove the clique-partition optimum independently of the completion
+search, so each checks the other. Every search here, like those of
+``exact``, runs on the one explicit stack ``exact._leaves``, so at any
+depth the pipeline either returns or overflows the cover cap.
 """
 
 from dataclasses import dataclass
@@ -122,9 +122,10 @@ def enumerate_exact_covers(graph, optimum=None, cap=10000):
     if optimum is None and not adj:
         raise ValueError("no histories to assign")
     covers = []
+    vertices = list(range(len(adj)))  # one int per vertex, shared by every cover
     for k, assign, _ in _clique_partitions(adj, optimum):
         blocks = [[] for _ in range(k)]
-        for v, s in enumerate(assign):
+        for v, s in zip(vertices, assign):
             blocks[s].append(v)
         covers.append(tuple(map(tuple, blocks)))
         if len(covers) > cap:

@@ -38,9 +38,5 @@ class CoverOverflowError(MinpfsaError):
     """Exact-cover enumeration exceeded the configured cap."""
 
 
-class SearchDepthError(MinpfsaError):
-    """The deterministic search would nest past Python's recursion limit."""
-
-
 class FormatError(MinpfsaError):
     """A file being read does not match the expected format."""

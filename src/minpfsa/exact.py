@@ -12,11 +12,11 @@ checking cuts the branches whose unplaceable histories need too many
 new states. Clique partitions have one engine, the DSATUR-style
 completion search of ``_clique_partitions``: it proves the fewest
 cliques k, then walks the partitions into k cliques in first-fit order,
-entering a branch only when the search completes it; both run on one
-explicit stack, at any depth. ``solve_msndpfsa`` takes its first partition
-and ``cliques.enumerate_exact_covers`` all of them, from the same pass
-when it is not given k. Only the first-fit search recurses, a level per
-history, so it alone raises SearchDepthError, past Python's limit.
+entering a branch only when the search completes it.
+``solve_msndpfsa`` takes its first partition and
+``cliques.enumerate_exact_covers`` all of them, from the same pass when
+it is not given k. Every search runs on one explicit stack, ``_leaves``,
+so none has a depth limit.
 
 ``build_ip_model`` states the problem as a 0/1 integer program.
 ``to_lp_text`` returns its LP text and ``write_lp`` writes the same text
@@ -30,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SearchDepthError
 from .machine import StatePartition
 # kept importable here: perfbench/routes.py imports succ_table from this module
 from .sequences import succ_table  # noqa: F401
@@ -93,6 +92,20 @@ class SolveResult:
     elapsed: float = 0.0
 
 
+def _leaves(root, children):
+    """The leaves below root, depth first, on one explicit stack: children(node)
+    is None at a leaf, else an iterator over the node's children in order."""
+    stack = [iter((root,))]
+    while stack:
+        node = next(stack[-1], None)
+        if node is None:
+            stack.pop()
+        elif (below := children(node)) is None:
+            yield node
+        else:
+            stack.append(below)
+
+
 def _first_fit(adj, succ):
     """The fewest states of a partition that is deterministic under succ,
     the lexicographically least such partition, and the number of search
@@ -115,7 +128,12 @@ def _first_fit(adj, succ):
     clique, so the placed members of the greedy independent set lie in
     distinct states, at most ``used`` of them, and the others number at
     most n - v, so used + n - v >= low at every node. The lower bound only
-    stops the search, once a partition meets it."""
+    stops the search, once a partition meets it.
+
+    The search runs on ``_leaves`` over nodes (v, used). A node's
+    generator edits assign, fit and targets in place before each child it
+    yields and undoes them when resumed, which ``_leaves`` does only once
+    that child's subtree is done."""
     n = len(adj)
     links = [[] for _ in range(n)]
     for u, row in enumerate(succ):
@@ -152,12 +170,12 @@ def _first_fit(adj, succ):
                 return None
         return trail
 
-    def recurse(v, used):
-        nonlocal explored, high, best
+    def children(node):
+        nonlocal explored
         explored += 1
-        if v == n:
-            best, high = tuple(assign), used - 1
-            return
+        return None if node[0] == n else branches(*node)
+
+    def branches(v, used):
         if used + n - v > high:
             opened = 0
             for s in range(used):
@@ -177,28 +195,16 @@ def _first_fit(adj, succ):
                 continue
             kept = fit[s]
             fit[s] = adj[v] if s == used else kept & adj[v]
-            recurse(v + 1, used + (s == used))
+            yield v + 1, used + (s == used)
             fit[s] = kept
             undo(trail)
             if used > high or high < low:
                 return
 
-    recurse(0, 0)
+    # a leaf is a partition, reached with its assignment still in place
+    for _, used in _leaves((0, 0), children):
+        best, high = tuple(assign), used - 1
     return high + 1, best, explored
-
-
-def _leaves(root, children):
-    """The leaves below root, depth first, on one explicit stack: children(node)
-    is None at a leaf, else an iterator over the node's children in order."""
-    stack = [iter((root,))]
-    while stack:
-        node = next(stack[-1], None)
-        if node is None:
-            stack.pop()
-        elif (below := children(node)) is None:
-            yield node
-        else:
-            stack.append(below)
 
 
 def _clique_partitions(adj, k=None):
@@ -310,23 +316,15 @@ def _clique_partitions(adj, k=None):
         yield k, assign, explored
 
 
-# _first_fit recurses once per history, so enough histories reach the limit
-_TOO_DEEP = "%d histories nest the search deeper than Python allows"
-
-
 def _solved(graph, search):
     """Run ``search(adj)`` on the graph's bitsets, timed, and wrap the
     optimum, assign vector and node count it returns as a SolveResult.
-    Raises SearchDepthError when a recursive search (``_first_fit``)
-    nests too deep."""
+    Every search runs on ``_leaves``, so no input is too deep for it."""
     t0 = time.perf_counter()
     adj = _bitsets(graph)
     if not adj:
         raise ValueError("no histories to assign")
-    try:
-        k, assign, explored = search(adj)
-    except RecursionError:
-        raise SearchDepthError(_TOO_DEEP % len(adj)) from None
+    k, assign, explored = search(adj)
     W = getattr(graph, "vertices", tuple((i,) for i in range(len(adj))))
     part = StatePartition(tuple(tuple(h) for h in W), assign)
     return SolveResult(k, part, explored, time.perf_counter() - t0)

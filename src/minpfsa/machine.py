@@ -321,7 +321,7 @@ def from_json(text):
     """
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # the decoder recurses per nesting level
         raise FormatError("not valid JSON: %s" % exc)
     try:
         if type(obj["alphabet"]) is not list or any(type(t) is not str for t in obj["alphabet"]):

@@ -29,7 +29,7 @@ def fixture_graph(fixture_wc):
 @pytest.fixture(scope="session")
 def deep_text():
     """20,000 uniform symbols over abcd: at L = 5 it has 1,024 histories,
-    more than a search recursing once per history can nest in Python."""
+    more than a search recursing once per history could nest in Python."""
     rng = np.random.default_rng(1)
     return "".join("abcd"[i] for i in rng.integers(4, size=20000)) + "\n"
 

@@ -393,6 +393,16 @@ def test_cli_deep_clique_route_returns_one(deep_text, tmp_path, capsys):
     assert err == "error: more than 10000 exact covers of 11 cliques\n"
 
 
+def test_cli_deep_ip_route_returns_one_state(deep_text, tmp_path, capsys):
+    # at this alpha every pair of the 1,024 histories is compatible; the
+    # deterministic search's first descent is 1,024 deep and is the optimum
+    path = tmp_path / "deep.txt"
+    path.write_text(deep_text)
+    argv = ["infer", "--in", str(path), "--method", "ip", "--L", "5", "--alpha", "1e-10"]
+    assert main(argv) == 0
+    assert len(json.loads(capsys.readouterr().out)["states"]) == 1
+
+
 def test_infer_unknown_method():
     wc = count_windows(gen_fixture(), 2)
     with pytest.raises(ValueError, match="unknown method"):

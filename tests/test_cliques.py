@@ -307,6 +307,19 @@ def test_reconstruct_deterministic_fixture(fixture_graph, fixture_wc):
             reconstruct_deterministic(bad, W, fixture_wc)
 
 
+def test_covers_share_one_int_per_vertex():
+    # two cliques of 150 and a vertex that fits both: two covers, and each
+    # vertex bigger than the interpreter's cached small ints is one object
+    # in both, so ten thousand covers of many vertices hold one set of ints
+    mu = np.zeros((301, 301), dtype=bool)
+    mu[:150, :150] = mu[150:, 150:] = mu[300] = mu[:, 300] = True
+    covers = enumerate_exact_covers(mu)
+    assert [tuple(map(len, cover)) for cover in covers] == [(151, 150), (150, 151)]
+    seen = {}
+    assert all(seen.setdefault(v, v) is v for cover in covers for block in cover for v in block)
+    assert len(seen) == 301
+
+
 def test_deep_graph_overflows_the_cover_cap(deep_wc, deep_graph):
     # 1,024 histories are not too deep for the completion search: it
     # proves k = 11 and walks past the cap

@@ -27,8 +27,8 @@ from minpfsa import (
     write_lp,
 )
 from minpfsa.cliques import bron_kerbosch, clique_pipeline, min_clique_cover
-from minpfsa.errors import CoverOverflowError, SearchDepthError
-from minpfsa.exact import _bitsets, _clique_partitions
+from minpfsa.errors import CoverOverflowError
+from minpfsa.exact import _bitsets, _clique_partitions, _first_fit
 from minpfsa.oracles import brute_force_min_states, lp_rows, solve_ip_model
 from tests.conftest import make_instances
 
@@ -107,14 +107,15 @@ def test_searches_reject_an_empty_graph():
 
 
 def test_search_depth_limit_raises_typed_error(deep_graph):
-    # the completion search runs on an explicit stack, so 1,024 histories
-    # are not too deep for it; only the recursive first-fit search has a
-    # depth limit, which a complete graph reaches on its first descent
+    # every search runs on an explicit stack, so no input is too deep: the
+    # completion search takes 1,024 histories, and the first-fit search a
+    # first descent of 1,200, one level per history, which both a complete
+    # and an edgeless graph make
     assert len(deep_graph.vertices) == 1024
     assert solve_msndpfsa(deep_graph).optimum == 11
     succ = ((None,),) * 1200
-    with pytest.raises(SearchDepthError, match="^1200 histories nest the search deeper"):
-        solve_msdpfsa(np.ones((1200, 1200), dtype=bool), succ)
+    assert solve_msdpfsa(np.ones((1200, 1200), dtype=bool), succ).optimum == 1
+    assert solve_msdpfsa(np.eye(1200, dtype=bool), succ).optimum == 1200
 
 
 def test_edgeless_graph_needs_one_state_per_history():
@@ -393,6 +394,29 @@ def test_clique_partitions_are_pinned():
         for k in (None, 1, 2, 3, 4):
             digest.update(repr(list(itertools.islice(_clique_partitions(adj, k), 50))).encode())
     assert digest.hexdigest() == CLIQUE_PARTITIONS_SHA256
+
+
+# sha256 of the repr of each (optimum, assign, explored) that _first_fit
+# returns over the pool of test_first_fit_is_pinned; recorded with the
+# recursive search that the explicit stack replaced
+FIRST_FIT_SHA256 = "58876c8cf9d1a6de0a80f97a2c725ec62352ec595abebfb3739a67423931f79b"
+
+
+def test_first_fit_is_pinned():
+    # optimum, partition and node count of the deterministic search on
+    # random relations and successor tables, a quarter of successors missing
+    rng = np.random.default_rng(29)
+    digest = hashlib.sha256()
+    for _ in range(3000):
+        n = int(rng.integers(1, 12))
+        m = int(rng.integers(1, 4))
+        mu = rng.random((n, n)) < rng.choice([0.2, 0.5, 0.8, 0.95])
+        mu = np.logical_or(mu, mu.T)
+        np.fill_diagonal(mu, True)
+        succ = tuple(tuple(None if rng.random() < 0.25 else int(rng.integers(n)) for _ in range(m))
+                     for _ in range(n))
+        digest.update(repr(_first_fit(_bitsets(mu), succ)).encode())
+    assert digest.hexdigest() == FIRST_FIT_SHA256
 
 
 # (key of a four-symbol source at L = 3, histories, optimum): graphs whose

@@ -466,6 +466,13 @@ def test_from_json_rejects_bad_alphabet(alphabet):
         from_json(json.dumps(obj))
 
 
+def test_from_json_rejects_over_nested_input():
+    # the decoder recurses once per nesting level, past Python's limit here
+    for text in ("[" * 100000, '{"alphabet": %s}' % ("[" * 100000 + "]" * 100000)):
+        with pytest.raises(FormatError, match="^not valid JSON: maximum recursion depth"):
+            from_json(text)
+
+
 def test_from_json_rejects_duplicate_state_id():
     m = PFSA(BINARY, ((), ()), {(0, 0): frozenset([1])}, {(0, 0): 1.0})
     obj = json.loads(to_json(m))
