@@ -12,17 +12,19 @@ Subcommands:
 Exit status is 0 on success, 1 on input or runtime errors and 2 on
 command line usage errors.
 
-Each subcommand's help line, arguments and handler sit in one table,
-``COMMANDS``. ``build_parser`` builds the whole tree from it, but a call
-that names a subcommand builds only that subcommand's parser: the
-arguments of the other three are never built. Help, usage and error
-texts and exit codes are the full tree's.
+Each subcommand's help line, options and handler are declared once, as
+data in ``COMMANDS``. A plain well-formed call (full option names, one
+value after each, valid choices and values, the required options
+present) is read straight from that table, with no argparse. Every other
+command line goes to ``build_parser``, which renders the same table into
+argparse, so help, usage, error texts and exit codes are argparse's, and
+argparse is imported only there.
 """
 
-import argparse
 import contextlib
 import io
 import sys
+import types
 
 from .bench import METHODS, BenchConfig, parse_bench_config, run_bench, write_csv
 from .cliques import clique_pipeline
@@ -76,30 +78,19 @@ def _write(path, text):
 
 
 def _alpha(text):
-    try:
-        return TestConfig(alpha=float(text)).alpha
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+    """--alpha: a significance level in (0, 1)."""
+    return TestConfig(alpha=float(text)).alpha
 
 
 def _history_length(text):
-    value = int(text)
+    """--L: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
     if value < 0:
-        raise argparse.ArgumentTypeError("L must be non-negative, not %s" % text)
+        raise ValueError("L must be a non-negative integer, not %r" % text)
     return value
-
-
-def _add_input_args(sub):
-    sub.add_argument("--in", dest="infile", required=True, metavar="FILE",
-                     help="sequence file, or - for stdin")
-    sub.add_argument("--tokens", action="store_true",
-                     help="split the input on whitespace instead of reading characters")
-    sub.add_argument("--L", type=_history_length, default=2,
-                     help="history length (default 2)")
-    sub.add_argument("--alpha", type=_alpha, default=0.05,
-                     help="significance level (default 0.05)")
-    sub.add_argument("--test", choices=TESTS, default="freeman-tukey",
-                     help="two-sample test (default freeman-tukey)")
 
 
 def cmd_gen_fixture(args):
@@ -162,78 +153,128 @@ def cmd_bench(args):
     return 0
 
 
-def _add_gen_fixture_args(sub):
-    sub.add_argument("--out", default="-", metavar="FILE",
-                     help="output file (default stdout)")
+# Each option is (flag, dest, default, parse, metavar, help): parse is a
+# converter that raises ValueError, a tuple of choices, or None for the
+# text as given; the default _REQUIRED makes the option required, and the
+# default False makes it a flag that takes no value.
+_REQUIRED = object()
+_INPUT = (
+    ("--in", "infile", _REQUIRED, None, "FILE", "sequence file, or - for stdin"),
+    ("--tokens", "tokens", False, None, None,
+     "split the input on whitespace instead of reading characters"),
+    ("--L", "L", 2, _history_length, None, "history length (default 2)"),
+    ("--alpha", "alpha", 0.05, _alpha, None, "significance level (default 0.05)"),
+    ("--test", "test", "freeman-tukey", TESTS, None, "two-sample test (default freeman-tukey)"),
+)
 
 
-def _add_infer_args(sub):
-    sub.add_argument("--method", choices=METHODS, default="cssr")
-    _add_input_args(sub)
-    sub.add_argument("--format", choices=("json", "dot"), default="json",
-                     help="machine output format (default json)")
-    sub.add_argument("--out", default="-", metavar="FILE",
-                     help="machine output file (default stdout)")
-    sub.add_argument("--lp", metavar="FILE",
-                     help="also write the integer program as LP text")
+def _out(help_line):
+    """The --out option, with its help line."""
+    return ("--out", "out", "-", None, "FILE", help_line)
 
 
-def _add_graph_args(sub):
-    _add_input_args(sub)
-    sub.add_argument("--out", default="-", metavar="FILE",
-                     help="output file (default stdout)")
-
-
-def _add_bench_args(sub):
-    sub.add_argument("--config", metavar="FILE", help="key = value configuration file")
-    sub.add_argument("--out", default="-", metavar="FILE",
-                     help="CSV output (default stdout)")
-
-
-# name -> (help line, argument builder, handler), in the order of the help listing
+# name -> (help line, options, handler), in the order of the help listing
 COMMANDS = {
-    "gen-fixture": ("write the walkthrough sequence", _add_gen_fixture_args, cmd_gen_fixture),
-    "infer": ("infer a machine from a sequence file", _add_infer_args, cmd_infer),
-    "graph": ("dump the compatibility graph edge list", _add_graph_args, cmd_graph),
-    "bench": ("run the benchmark grid", _add_bench_args, cmd_bench),
+    "gen-fixture": ("write the walkthrough sequence",
+                    (_out("output file (default stdout)"),), cmd_gen_fixture),
+    "infer": ("infer a machine from a sequence file", (
+        ("--method", "method", "cssr", METHODS, None, None),
+        *_INPUT,
+        ("--format", "format", "json", ("json", "dot"), None,
+         "machine output format (default json)"),
+        _out("machine output file (default stdout)"),
+        ("--lp", "lp", None, None, "FILE", "also write the integer program as LP text"),
+    ), cmd_infer),
+    "graph": ("dump the compatibility graph edge list",
+              (*_INPUT, _out("output file (default stdout)")), cmd_graph),
+    "bench": ("run the benchmark grid", (
+        ("--config", "config", None, None, "FILE", "key = value configuration file"),
+        _out("CSV output (default stdout)"),
+    ), cmd_bench),
 }
 
 
-def _fill_command(sub, name):
-    """Give sub the arguments and handler of subcommand name."""
-    _, add_args, handler = COMMANDS[name]
-    add_args(sub)
-    sub.set_defaults(func=handler)
-
-
 def build_parser():
-    """The full parser: the top level and every subcommand."""
+    """The argparse parser of the whole tree, rendered from ``COMMANDS``."""
+    import argparse
+
+    def checked(convert):
+        def parse(text):
+            try:
+                return convert(text)
+            except ValueError as exc:
+                raise argparse.ArgumentTypeError(str(exc))
+        return parse
+
     parser = argparse.ArgumentParser(
         prog="minpfsa",
         description="Minimum-state probabilistic finite-state automaton inference.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, (help_line, _, _) in COMMANDS.items():
-        _fill_command(subs.add_parser(name, help=help_line), name)
+    for name, (help_line, options, handler) in COMMANDS.items():
+        sub = subs.add_parser(name, help=help_line)
+        for flag, dest, default, parse, metavar, text in options:
+            if default is False:
+                sub.add_argument(flag, dest=dest, action="store_true", help=text)
+                continue
+            kind = dict(choices=parse) if isinstance(parse, tuple) else dict(
+                type=checked(parse) if parse else None)
+            sub.add_argument(flag, dest=dest, required=default is _REQUIRED,
+                             default=None if default is _REQUIRED else default,
+                             metavar=metavar, help=text, **kind)
+        sub.set_defaults(func=handler)
     return parser
 
 
-def _parse(argv):
-    """The parsed arguments of argv, as build_parser() parses them.
+def _read_table(argv):
+    """The arguments of a plain well-formed call, read from ``COMMANDS``,
+    or None for any other argv.
 
-    When argv starts with a subcommand, only that subcommand's parser is
-    built, as the full tree names it. Its help, usage and errors are the
-    tree's own. Arguments it leaves over go back to the full tree, which
-    reports them with its usage and exit code 2; so does every other argv
-    (none, --help, an unknown command).
+    Plain means a subcommand, then only full option names, each flag alone
+    and each other option followed by its value, which must not start with
+    - unless it is -, must be one of the choices and must convert; every
+    required option present. A later value of an option wins, as in
+    argparse.
     """
-    if argv and argv[0] in COMMANDS:
-        parser = argparse.ArgumentParser(prog="minpfsa " + argv[0])
-        _fill_command(parser, argv[0])
-        args, extra = parser.parse_known_args(argv[1:])
-        if not extra:
-            return args
-    return build_parser().parse_args(argv)
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, options, handler = COMMANDS[argv[0]]
+    by_flag = {opt[0]: opt for opt in options}
+    values = {opt[1]: opt[2] for opt in options}
+    words = iter(argv[1:])
+    for word in words:
+        if word not in by_flag:
+            return None
+        _, dest, default, parse, _, _ = by_flag[word]
+        if default is False:
+            values[dest] = True
+            continue
+        value = next(words, None)
+        if value is None or value.startswith("-") and value != "-":
+            return None
+        if isinstance(parse, tuple):
+            if value not in parse:
+                return None
+        elif parse is not None:
+            try:
+                value = parse(value)
+            except ValueError:
+                return None
+        values[dest] = value
+    if any(value is _REQUIRED for value in values.values()):
+        return None
+    return types.SimpleNamespace(command=argv[0], **values, func=handler)
+
+
+def _parse(argv):
+    """The parsed arguments of argv, with the attributes that
+    build_parser().parse_args(argv) gives. A plain well-formed call is read
+    from the option table; every other argv (help, none, an unknown or
+    abbreviated option, --opt=value, a bad value, extras, --) goes to the
+    full parser, which prints its help, usage or error and exits.
+    """
+    args = _read_table(argv)
+    return build_parser().parse_args(argv) if args is None else args
 
 
 def main(argv=None):

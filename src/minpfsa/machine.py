@@ -316,6 +316,8 @@ def from_json(text):
     An optional ``"start"`` field names the start state by its id; without
     it the first state is the start. ``to_json`` does not write the field,
     so a machine read back from its output starts in its first state.
+    A ``start``, ``from`` or ``to`` reference names the state whose id
+    equals it and has its JSON type: ``true`` and ``1.0`` do not name id 1.
     The alphabet must be a list of distinct strings and every ``prob`` a
     JSON number in [0, 1].
     """
@@ -329,18 +331,26 @@ def from_json(text):
         alphabet = Alphabet(tuple(obj["alphabet"]))  # ValueError on a repeated symbol
         tok_index = {t: i for i, t in enumerate(alphabet.symbols)}
         ids = [s["id"] for s in obj["states"]]
-        id_map = {sid: j for j, sid in enumerate(ids)}
+        # keyed by type as well, since True == 1 == 1.0 as plain keys
+        id_map = {(type(sid), sid): j for j, sid in enumerate(ids)}
         if len(id_map) != len(ids):
             raise FormatError("duplicate state id in %r" % (ids,))
+
+        def state(field, ref):
+            j = id_map.get((type(ref), ref))
+            if j is None:
+                raise FormatError("%s names no state: %r" % (field, ref))
+            return j
+
         states = tuple(
             tuple(alphabet.parse(hist) for hist in s["histories"]) for s in obj["states"]
         )
         delta = {}
         probs = {}
         for tr in obj["transitions"]:
-            j = id_map[tr["from"]]
+            j = state("from", tr["from"])
             a = tok_index[tr["symbol"]]
-            k = id_map[tr["to"]]
+            k = state("to", tr["to"])
             if type(tr["prob"]) not in (int, float):
                 raise FormatError("prob is not a number: %r" % (tr["prob"],))
             if not 0 <= tr["prob"] <= 1:
@@ -353,11 +363,7 @@ def from_json(text):
                     % (tr["from"], tr["symbol"])
                 )
             probs[(j, a)] = tr["prob"]
-        start = 0
-        if "start" in obj:
-            if obj["start"] not in id_map:
-                raise FormatError("start names no state: %r" % (obj["start"],))
-            start = id_map[obj["start"]]
+        start = state("start", obj["start"]) if "start" in obj else 0
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise FormatError("missing or malformed field: %s" % exc)
     delta = {k: frozenset(v) for k, v in delta.items()}

@@ -1,6 +1,7 @@
 """Benchmark harness and the command line front end."""
 
 import argparse
+import contextlib
 import io
 import json
 import os
@@ -10,6 +11,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from minpfsa import (
     Alphabet,
@@ -424,12 +426,15 @@ def test_cli_usage_errors_exit_two():
             assert err.value.code == 2
 
 
-def _exit_and_output(parse, argv, capsys):
-    """Exit code, stdout and stderr of parse(argv), which must exit."""
-    with pytest.raises(SystemExit) as err:
-        parse(argv)
-    out = capsys.readouterr()
-    return err.value.code, out.out, out.err
+def _outcome(parse, argv):
+    """The parsed arguments of argv as a dict, or the exit code, stdout and
+    stderr of parse when it exits."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            return vars(parse(list(argv)))
+    except SystemExit as exc:
+        return exc.code, out.getvalue(), err.getvalue()
 
 
 USAGE_CASES = [
@@ -437,6 +442,7 @@ USAGE_CASES = [
     ["gen-fixture", "--help"], ["gen-fixture", "--bogus"], ["gen-fixture", "extra"],
     ["bench", "--help"], ["bench", "--out"], ["bench", "--config", "x", "--bogus"],
     ["infer", "--in", "x", "--method", "nope"], ["infer", "--in", "x", "--format", "svg"],
+    ["infer", "--in", "f", "--L", "x"], ["infer", "--in", "f", "--L", "3.0"],
 ] + [[command] + args for command in ("infer", "graph") for args in (
     ["--help"], [], ["--L", "2"], ["--in", "x", "--test", "nope"], ["--in", "x", "--L", "-1"],
     ["--in", "x", "--alpha", "1.5"], ["--in", "x", "--bogus"], ["--in", "x", "extra", "--bogus=1"],
@@ -445,15 +451,23 @@ USAGE_CASES = [
 
 
 @pytest.mark.parametrize("argv", USAGE_CASES, ids=" ".join)
-def test_cli_usage_text_matches_the_full_parser(argv, capsys):
-    # main builds only the named subcommand's parser; what it prints and
-    # its exit code must be those of the whole tree
-    got = _exit_and_output(main, argv, capsys)
-    assert got == _exit_and_output(build_parser().parse_args, argv, capsys)
+def test_cli_usage_text_matches_the_full_parser(argv):
+    # what main prints and its exit code must be those of the whole tree
+    got = _outcome(main, argv)
+    assert got == _outcome(build_parser().parse_args, argv)
     assert got[0] == (0 if "--help" in argv or "-h" in argv else 2)
 
 
-def test_cli_builds_one_subcommand_parser(tmp_path, monkeypatch):
+@pytest.mark.parametrize("value", ["x", "3.0"])
+def test_cli_bad_history_length_names_no_function(value):
+    code, out, err = _outcome(main, ["infer", "--in", "f", "--L", value])
+    assert (code, out) == (2, "")
+    assert err.endswith(
+        "minpfsa infer: error: argument --L: L must be a non-negative integer, not %r\n" % value)
+    assert "_history_length" not in err
+
+
+def test_cli_builds_no_parser_for_a_well_formed_call(fixture_file, tmp_path, monkeypatch):
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -462,11 +476,94 @@ def test_cli_builds_one_subcommand_parser(tmp_path, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-    assert main(["gen-fixture", "--out", str(tmp_path / "seq.txt")]) == 0
-    assert built == ["minpfsa gen-fixture"]
-    built.clear()
-    build_parser()
-    assert built == ["minpfsa"] + ["minpfsa %s" % name for name in COMMANDS]
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text("methods = cssr\nalphabets = 2\nlengths = 30\nreps = 1\n")
+    for argv in (
+        ["gen-fixture", "--out", str(tmp_path / "seq.txt")],
+        ["infer", "--in", fixture_file, "--method", "ip", "--L", "2", "--alpha", "0.05",
+         "--test", "chi2", "--format", "dot", "--out", str(tmp_path / "m.dot"),
+         "--lp", str(tmp_path / "m.lp")],
+        ["graph", "--in", fixture_file, "--out", str(tmp_path / "edges.txt")],
+        ["bench", "--config", str(cfg), "--out", str(tmp_path / "bench.csv")],
+    ):
+        assert main(argv) == 0
+    assert built == []
+    tree = ["minpfsa"] + ["minpfsa %s" % name for name in COMMANDS]
+    for argv, code in ((["infer", "--help"], 0), (["infer", "--in", fixture_file, "--L", "x"], 2)):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == code
+        assert built == tree
+        built.clear()
+
+
+OPTIONS = {name: options for name, (_, options, _) in COMMANDS.items()}
+FLAGS = sorted({opt[0] for options in OPTIONS.values() for opt in options})
+# values that convert, for the options whose parse is a converter
+CONVERTIBLE = {"--L": ["0", "3", "+4", " 5 "], "--alpha": ["0.01", "1e-10", ".5"]}
+TEXTS = ["seq.txt", "-", "", "a b", "\u00e9"]
+ODD = ["-", "-x", "-1", "", "-a b", "x", "3.0", "1.5", "--", "-h", "--help", "--bogus", "extra"]
+
+
+def _good_values(option):
+    """Values that the option takes."""
+    flag, _, _, parse, _, _ = option
+    if isinstance(parse, tuple):
+        return list(parse)
+    return CONVERTIBLE.get(flag, TEXTS)
+
+
+# words drawn from the option tables: full and abbreviated names,
+# --opt=value, valid and odd values, extras, -- and -h, an unknown command
+WORDS = FLAGS + sorted({flag[:k] for flag in FLAGS for k in range(3, len(flag))})
+WORDS += ["%s=%s" % (opt[0], value) for options in OPTIONS.values() for opt in options
+          for value in _good_values(opt)[:2] + ["-x"]]
+WORDS += sorted({v for options in OPTIONS.values() for opt in options for v in _good_values(opt)})
+WORDS += ODD + sorted(OPTIONS) + ["frobnicate"]
+
+
+@st.composite
+def argvs(draw, odd):
+    """A subcommand, then its full option names in any order and with
+    repeats, each with a valid value and every required option among them.
+    With odd, a value may be an odd one and a required option may be left
+    out, now and then, and up to two words are inserted, replaced or
+    deleted after."""
+    name = draw(st.sampled_from(sorted(OPTIONS)))
+    options = OPTIONS[name]
+    chosen = draw(st.lists(st.sampled_from(options), max_size=8))
+    if not odd or draw(st.integers(0, 3)):
+        chosen += [opt for opt in options if opt[2] is cli._REQUIRED]
+    argv = [name]
+    for opt in draw(st.permutations(chosen)):
+        argv.append(opt[0])
+        if opt[2] is not False:
+            odd_value = odd and draw(st.integers(0, 4)) == 0
+            argv.append(draw(st.sampled_from(ODD if odd_value else _good_values(opt))))
+    for _ in range(draw(st.integers(0, 2 if odd else 0))):
+        i = draw(st.integers(0, len(argv)))
+        edit = draw(st.sampled_from(("insert", "replace", "delete")))
+        if edit == "insert":
+            argv.insert(i, draw(st.sampled_from(WORDS)))
+        elif i < len(argv) and edit == "replace":
+            argv[i] = draw(st.sampled_from(WORDS))
+        elif i < len(argv):
+            del argv[i]
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(argvs(odd=False))
+def test_table_reads_every_well_formed_call_as_the_full_parser(argv):
+    got = cli._read_table(argv)
+    assert got is not None
+    assert vars(got) == _outcome(build_parser().parse_args, argv)
+
+
+@settings(max_examples=500, deadline=None)
+@given(argvs(odd=True))
+def test_cli_parse_matches_the_full_parser(argv):
+    assert _outcome(cli._parse, argv) == _outcome(build_parser().parse_args, argv)
 
 
 def _run_cli(argv, stdin, **env):
@@ -478,6 +575,17 @@ def _run_cli(argv, stdin, **env):
     proc = subprocess.run([sys.executable, "-m", "minpfsa.cli"] + argv, input=stdin, env=env,
                           capture_output=True, timeout=120)
     return proc.returncode, proc.stdout, proc.stderr.decode("utf-8", "replace")
+
+
+def test_cli_command_loads_no_argparse(tmp_path):
+    # gen-fixture computes no p-value: scipy.special, which the first one
+    # loads, imports argparse itself
+    code, _, err = _run_cli(["gen-fixture", "--out", str(tmp_path / "seq.txt")], b"",
+                            PYTHONPROFILEIMPORTTIME="1")
+    assert code == 0
+    modules = {line.rsplit("|", 1)[-1].strip() for line in err.splitlines()}
+    assert "minpfsa" in modules
+    assert not modules & {"argparse", "gettext"}
 
 
 def test_cli_undecodable_stdin_returns_one(tmp_path):

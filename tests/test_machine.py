@@ -473,6 +473,22 @@ def test_from_json_rejects_over_nested_input():
             from_json(text)
 
 
+@pytest.mark.parametrize("field, ref", [
+    ("start", True), ("start", 1.0), ("start", 2.0), ("from", True), ("from", 1.0),
+    ("to", True), ("to", 2.0),
+])
+def test_from_json_rejects_a_state_reference_of_another_type(field, ref):
+    # True == 1 == 1.0 as dict keys, so these once named the states of ids 1 and 2
+    m = PFSA(BINARY, ((), ()), {(0, 0): frozenset([1])}, {(0, 0): 1.0})
+    obj = json.loads(to_json(m))
+    if field == "start":
+        obj["start"] = ref
+    else:
+        obj["transitions"][0][field] = ref
+    with pytest.raises(FormatError, match="names no state: %r" % (ref,)):
+        from_json(json.dumps(obj))
+
+
 def test_from_json_rejects_duplicate_state_id():
     m = PFSA(BINARY, ((), ()), {(0, 0): frozenset([1])}, {(0, 0): 1.0})
     obj = json.loads(to_json(m))
