@@ -58,6 +58,8 @@ class BenchConfig:
             raise ValueError("seed must be non-negative")
         if min(self.lengths, default=1) < 1 or list(self.lengths) != sorted(self.lengths):
             raise ValueError("lengths must be positive and ascending")
+        if min(self.alphabets, default=1) < 1:
+            raise ValueError("alphabets must be at least 1")
 
 
 _DEFAULTS = {f.name: f.default for f in fields(BenchConfig)}

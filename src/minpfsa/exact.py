@@ -15,8 +15,8 @@ cliques k, then walks the partitions into k cliques in first-fit order,
 entering a branch only when the search completes it.
 ``solve_msndpfsa`` takes its first partition and
 ``cliques.enumerate_exact_covers`` all of them, from the same pass when
-it is not given k. Every search runs on one explicit stack, ``_leaves``,
-so none has a depth limit.
+it is not given k. Every search expands value nodes, never changed in
+place, on one explicit stack, ``_leaves``, so none has a depth limit.
 
 ``build_ip_model`` states the problem as a 0/1 integer program.
 ``to_lp_text`` returns its LP text and ``write_lp`` writes the same text
@@ -94,7 +94,10 @@ class SolveResult:
 
 def _leaves(root, children):
     """The leaves below root, depth first, on one explicit stack: children(node)
-    is None at a leaf, else an iterator over the node's children in order."""
+    is None at a leaf, else an iterator over the node's children in order.
+    Nodes are values, never changed in place: a node's children depend only
+    on the node and on the bound learned from the subtrees walked before it
+    (``_first_fit``'s incumbent, the completion search's failed subproblems)."""
     stack = [iter((root,))]
     while stack:
         node = next(stack[-1], None)
@@ -130,10 +133,11 @@ def _first_fit(adj, succ):
     most n - v, so used + n - v >= low at every node. The lower bound only
     stops the search, once a partition meets it.
 
-    The search runs on ``_leaves`` over nodes (v, used). A node's
-    generator edits assign, fit and targets in place before each child it
-    yields and undoes them when resumed, which ``_leaves`` does only once
-    that child's subtree is done."""
+    The search runs on ``_leaves`` over value nodes (v, assign, fit,
+    targets): the states of the first v vertices, the fit bitset of each
+    open state, and the target each (state, symbol) pair is bound to. A
+    child shares its parent's targets unless it binds a new pair, and a
+    leaf's assign is its partition."""
     n = len(adj)
     links = [[] for _ in range(n)]
     for u, row in enumerate(succ):
@@ -143,43 +147,20 @@ def _first_fit(adj, succ):
 
     low, high = _greedy_is(adj, (1 << n) - 1).bit_count(), n
     best = None
-    assign = [0] * n
-    fit = [0] * n
     full = (1 << n) - 1
-    targets = {}
     explored = 0
-
-    def undo(trail):
-        for key in trail:
-            del targets[key]
-
-    def place(v):
-        """Bind the (state, symbol) target of each transition in links[v],
-        v placed last, its state in assign[v]. Returns the undo trail, or
-        None, with the bindings undone, when a state would get two targets
-        on one symbol."""
-        trail = []
-        for u, a, l in links[v]:
-            key = (assign[u], a)
-            known = targets.get(key)
-            if known is None:
-                targets[key] = assign[l]
-                trail.append(key)
-            elif known != assign[l]:
-                undo(trail)
-                return None
-        return trail
 
     def children(node):
         nonlocal explored
         explored += 1
         return None if node[0] == n else branches(*node)
 
-    def branches(v, used):
+    def branches(v, assign, fit, targets):
+        used = len(fit)
         if used + n - v > high:
             opened = 0
-            for s in range(used):
-                opened |= fit[s]
+            for f in fit:
+                opened |= f
             free = full >> v << v & ~opened
             if used + free.bit_count() > high and used + _greedy_is(adj, free).bit_count() > high:
                 return
@@ -189,21 +170,25 @@ def _first_fit(adj, succ):
                     break
             elif not fit[s] >> v & 1:
                 continue
-            assign[v] = s
-            trail = place(v)
-            if trail is None:
-                continue
-            kept = fit[s]
-            fit[s] = adj[v] if s == used else kept & adj[v]
-            yield v + 1, used + (s == used)
-            fit[s] = kept
-            undo(trail)
-            if used > high or high < low:
-                return
+            placed = assign + (s,)
+            bound = targets
+            for u, a, l in links[v]:
+                key = (placed[u], a)
+                known = bound.get(key)
+                if known is None:
+                    if bound is targets:
+                        bound = targets.copy()
+                    bound[key] = placed[l]
+                elif known != placed[l]:
+                    break  # the state would get two targets on one symbol
+            else:
+                trial = fit[:s] + (fit[s] & adj[v],) + fit[s + 1:] if s < used else fit + (adj[v],)
+                yield v + 1, placed, trial, bound
+                if used > high or high < low:
+                    return
 
-    # a leaf is a partition, reached with its assignment still in place
-    for _, used in _leaves((0, 0), children):
-        best, high = tuple(assign), used - 1
+    for _, assign, fit, _ in _leaves((0, (), (), {}), children):
+        best, high = assign, len(fit) - 1
     return high + 1, best, explored
 
 

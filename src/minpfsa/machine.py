@@ -318,16 +318,23 @@ def from_json(text):
     so a machine read back from its output starts in its first state.
     A ``start``, ``from`` or ``to`` reference names the state whose id
     equals it and has its JSON type: ``true`` and ``1.0`` do not name id 1.
-    The alphabet must be a list of distinct strings and every ``prob`` a
-    JSON number in [0, 1].
+    The alphabet must be a list of distinct non-empty strings, each
+    state's ``histories`` a list of strings, and every ``prob`` a JSON
+    number in [0, 1].
     """
     try:
         obj = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:  # the decoder recurses per nesting level
         raise FormatError("not valid JSON: %s" % exc)
+
+    def strings(field, value):
+        if type(value) is not list or any(type(t) is not str for t in value):
+            raise FormatError("%s is not a list of strings: %r" % (field, value))
+        return value
+
     try:
-        if type(obj["alphabet"]) is not list or any(type(t) is not str for t in obj["alphabet"]):
-            raise FormatError("alphabet is not a list of strings: %r" % (obj["alphabet"],))
+        if "" in strings("alphabet", obj["alphabet"]):
+            raise FormatError("alphabet has an empty symbol: %r" % (obj["alphabet"],))
         alphabet = Alphabet(tuple(obj["alphabet"]))  # ValueError on a repeated symbol
         tok_index = {t: i for i, t in enumerate(alphabet.symbols)}
         ids = [s["id"] for s in obj["states"]]
@@ -343,7 +350,8 @@ def from_json(text):
             return j
 
         states = tuple(
-            tuple(alphabet.parse(hist) for hist in s["histories"]) for s in obj["states"]
+            tuple(alphabet.parse(h) for h in strings("histories", s["histories"]))
+            for s in obj["states"]
         )
         delta = {}
         probs = {}

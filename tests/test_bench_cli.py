@@ -73,6 +73,7 @@ def test_parse_bench_config_defaults():
         ("reps = 0", "reps must be at least 1"),
         ("lengths = 100, 10", "lengths must be positive and ascending"),
         ("lengths = 0, 10", "lengths must be positive and ascending"),
+        ("alphabets = 2, 0", "alphabets must be at least 1"),
         ("L = -1", "L must be non-negative"),
         ("timeout = 0", "timeout must be positive"),
         ("timeout = inf", "timeout must be positive and finite"),
@@ -375,6 +376,21 @@ def test_cli_bad_bench_value_returns_one(line, message, tmp_path, capsys):
     out = tmp_path / "results.csv"
     assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 1
     assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
+def test_cli_bench_rejects_an_empty_alphabet_before_any_run(tmp_path, capsys, monkeypatch):
+    # alphabets = 2, 0 once ran the whole alphabet-2 grid in forked
+    # children, and only then failed on the empty alphabet
+    def forked(cfg_point, timeout):
+        raise AssertionError("a grid point ran")
+
+    monkeypatch.setattr(bench, "_timed_run", forked)
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text("methods = cssr\nalphabets = 2, 0\nlengths = 30\nreps = 1\n")
+    out = tmp_path / "results.csv"
+    assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", "error: alphabets must be at least 1\n")
     assert not out.exists()
 
 

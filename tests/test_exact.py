@@ -106,7 +106,7 @@ def test_searches_reject_an_empty_graph():
         brute_force_min_states(empty)
 
 
-def test_search_depth_limit_raises_typed_error(deep_graph):
+def test_searches_have_no_depth_limit(deep_graph):
     # every search runs on an explicit stack, so no input is too deep: the
     # completion search takes 1,024 histories, and the first-fit search a
     # first descent of 1,200, one level per history, which both a complete
@@ -281,24 +281,25 @@ def test_nondeterministic_partition_bytes(seed, states, length, n, optimum, dige
     assert hashlib.sha256(repr(res.partition.assign).encode()).hexdigest() == digest
 
 
-# (seed, source states, length, histories, optimum, sha256 of repr(assign))
-# of the deterministic search on binary sources at L = 5, recorded with the
-# search that checked each history's successor row and predecessor list
-# apart (at most 0.08 s each); the nd optimum is 3-6 on all, so the
-# determinism checks decide these optima
+# (seed, source states, length, histories, optimum, sha256 of repr(assign),
+# nodes explored) of the deterministic search on binary sources at L = 5,
+# the digests recorded with the search that checked each history's
+# successor row and predecessor list apart (at most 0.08 s each), the node
+# counts with the search that edited shared state in place and undid it;
+# the nd optimum is 3-6 on all, so the determinism checks decide these optima
 D_PARTITION_SHA256 = [
-    (0, 3, 2000, 32, 20, "c9656fd99921c9bd6f197fb9578168ea79267c3efba48fae478c3051d47046ef"),
-    (1, 5, 6000, 32, 21, "c6a62760a3d204daa92eebf349b842dfa7d02aea6efa7a2578ff89923138a849"),
-    (3, 5, 2000, 32, 15, "140fb67472a9978ba124e75697934b626daf5007198118a49de5f8b129d8b397"),
-    (4, 3, 2000, 32, 9, "90c050324f9531af60f1a49a358a65a223c0b48c39b7e57bae16d4050ce58727"),
-    (6, 5, 6000, 32, 19, "1f7f5cc62c2ebbc806f9ed6ccc1178c9313b60e03e33075b2c8fb803c71eb570"),
-    (8, 5, 6000, 32, 17, "e363d7645020d66acf50522461e06853a4fb7266cde1233116ff2dca2747d0be"),
+    (0, 3, 2000, 32, 20, "c9656fd99921c9bd6f197fb9578168ea79267c3efba48fae478c3051d47046ef", 3155),
+    (1, 5, 6000, 32, 21, "c6a62760a3d204daa92eebf349b842dfa7d02aea6efa7a2578ff89923138a849", 1438),
+    (3, 5, 2000, 32, 15, "140fb67472a9978ba124e75697934b626daf5007198118a49de5f8b129d8b397", 3522),
+    (4, 3, 2000, 32, 9, "90c050324f9531af60f1a49a358a65a223c0b48c39b7e57bae16d4050ce58727", 3883),
+    (6, 5, 6000, 32, 19, "1f7f5cc62c2ebbc806f9ed6ccc1178c9313b60e03e33075b2c8fb803c71eb570", 4955),
+    (8, 5, 6000, 32, 17, "e363d7645020d66acf50522461e06853a4fb7266cde1233116ff2dca2747d0be", 8825),
 ]
 
 
-@pytest.mark.parametrize("seed, states, length, n, optimum, digest", D_PARTITION_SHA256,
+@pytest.mark.parametrize("seed, states, length, n, optimum, digest, explored", D_PARTITION_SHA256,
                          ids=["s%d-q%d-%d" % case[:3] for case in D_PARTITION_SHA256])
-def test_deterministic_partition_bytes(seed, states, length, n, optimum, digest):
+def test_deterministic_partition_bytes(seed, states, length, n, optimum, digest, explored):
     key = [seed, 2, states, length]
     source = random_machine(np.random.default_rng(key), states, BINARY)
     wc = count_windows(sample(source, length, key), 5)
@@ -307,6 +308,7 @@ def test_deterministic_partition_bytes(seed, states, length, n, optimum, digest)
     res = solve_msdpfsa(graph, succ_table(wc, graph.vertices))
     assert res.optimum == optimum
     assert hashlib.sha256(repr(res.partition.assign).encode()).hexdigest() == digest
+    assert res.explored == explored
 
 
 def first_fit_partition(mu, k):

@@ -466,6 +466,25 @@ def test_from_json_rejects_bad_alphabet(alphabet):
         from_json(json.dumps(obj))
 
 
+@pytest.mark.parametrize("histories", ["0011", {"00": 1}, [["0", "1"]]])
+def test_from_json_rejects_histories_that_are_not_a_list_of_strings(histories):
+    # once read as four one-symbol histories, as the dict's keys, and as
+    # the history (0, 1)
+    m = PFSA(BINARY, ((), ()), {(0, 0): frozenset([1])}, {(0, 0): 1.0})
+    obj = json.loads(to_json(m))
+    obj["states"][0]["histories"] = histories
+    with pytest.raises(FormatError, match="^histories is not a list of strings: "):
+        from_json(json.dumps(obj))
+
+
+def test_from_json_rejects_an_empty_symbol():
+    # the history "a" was once read as (1,)
+    obj = {"alphabet": ["", "a"], "states": [{"id": 1, "histories": ["a"]}],
+           "transitions": [{"from": 1, "symbol": "a", "to": 1, "prob": 1.0}]}
+    with pytest.raises(FormatError, match=r"^alphabet has an empty symbol: \['', 'a'\]$"):
+        from_json(json.dumps(obj))
+
+
 def test_from_json_rejects_over_nested_input():
     # the decoder recurses once per nesting level, past Python's limit here
     for text in ("[" * 100000, '{"alphabet": %s}' % ("[" * 100000 + "]" * 100000)):
